@@ -77,16 +77,26 @@ void BM_SampleCollideWalk(benchmark::State& state) {
 BENCHMARK(BM_SampleCollideWalk);
 
 void BM_SampleCollideEstimate(benchmark::State& state) {
+  // One full estimation on the interleaved walk kernel (est/walk_kernel.hpp).
+  // At 1M nodes every hop misses the cache, so this is the kernel's
+  // latency-hiding figure; BM_SampleCollideWalk times one walk at a time.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
   support::RngStream build_rng(42);
-  sim::Simulator sim(net::build_heterogeneous_random({20000, 1, 10}, build_rng),
+  sim::Simulator sim(net::build_heterogeneous_random({nodes, 1, 10}, build_rng),
                      43);
   support::RngStream rng(44);
   const est::SampleCollide sc({.timer = 10.0, .collisions = 50});
+  std::uint64_t messages = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sc.estimate_once(sim, 0, rng).value);
+    const est::Estimate e = sc.estimate_once(sim, 0, rng);
+    benchmark::DoNotOptimize(e.value);
+    messages += e.messages;
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+  state.counters["msgs/estimate"] = benchmark::Counter(
+      static_cast<double>(messages) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_SampleCollideEstimate);
+BENCHMARK(BM_SampleCollideEstimate)->Arg(20000)->Arg(1000000);
 
 void BM_AggregationRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

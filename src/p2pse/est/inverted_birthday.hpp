@@ -10,6 +10,7 @@
 // too early, sizes are under-estimated) and (b) the accuracy gain of
 // Sample&Collide's l-collision generalization over first-collision stopping.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "p2pse/est/estimate.hpp"
@@ -29,19 +30,19 @@ class InvertedBirthday {
  public:
   explicit InvertedBirthday(InvertedBirthdayConfig config);
 
-  /// One degree-biased sample: the endpoint of a fixed-length random walk.
-  struct Sample {
-    net::NodeId node = net::kInvalidNode;
-    bool lost = false;      ///< reply permanently lost (bounded ARQ exhausted)
-    double elapsed = 0.0;   ///< transit wall-clock under the channel
-  };
-  [[nodiscard]] Sample sample(sim::Simulator& sim, net::NodeId initiator,
-                              support::RngStream& rng) const;
-
   /// Samples until `collisions` repeats and returns N-hat = C^2 / (2 l).
+  /// Each degree-biased sample is the endpoint of a fixed-length walk.
+  /// Runs on the interleaved walk kernel, like SampleCollide::estimate_once.
   [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
                                        net::NodeId initiator,
                                        support::RngStream& rng) const;
+
+  /// estimate_once with `Lanes` walks in flight (same result for every
+  /// Lanes; instantiated for 1, 4, 8 and 16).
+  template <std::size_t Lanes>
+  [[nodiscard]] Estimate estimate_lanes(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) const;
 
   [[nodiscard]] const InvertedBirthdayConfig& config() const noexcept {
     return config_;

@@ -1,8 +1,9 @@
 #include "p2pse/est/sample_collide.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+
+#include "p2pse/est/walk_kernel.hpp"
 
 namespace p2pse::est {
 
@@ -38,9 +39,7 @@ WalkSample SampleCollide::sample(sim::Simulator& sim, net::NodeId initiator,
     }
     ++out.steps;
     current = next;
-    const std::size_t deg = graph.degree(current);
-    timer -= rng.exponential(1.0) / static_cast<double>(deg);
-    if (timer <= 0.0) break;
+    if (detail::spend_timer(timer, graph.degree(current), rng)) break;
   }
   out.node = current;
   // The sampled node reports back to the initiator — one reply message. When
@@ -59,55 +58,54 @@ WalkSample SampleCollide::sample(sim::Simulator& sim, net::NodeId initiator,
 Estimate SampleCollide::estimate_once(sim::Simulator& sim,
                                       net::NodeId initiator,
                                       support::RngStream& rng) const {
+  return estimate_lanes<detail::kWalkLanes>(sim, initiator, rng);
+}
+
+template <std::size_t Lanes>
+Estimate SampleCollide::estimate_lanes(sim::Simulator& sim,
+                                       net::NodeId initiator,
+                                       support::RngStream& rng) const {
   const std::uint64_t baseline = sim.meter().total();
   if (!sim.graph().is_alive(initiator)) {
     return Estimate::invalid_at(sim.now());
   }
-
-  std::unordered_set<net::NodeId> seen;
-  seen.reserve(1024);
-  std::uint64_t samples = 0;
-  std::uint64_t attempts = 0;
-  std::uint32_t collisions = 0;
-  double delay = 0.0;
-  while (collisions < config_.collisions && attempts < config_.max_samples) {
-    const WalkSample s = sample(sim, initiator, rng);
-    ++attempts;
-    if (s.lost) {
-      // Initiator timeout on a lost walk or reply: wait, then relaunch.
-      // The messages already on the wire stay counted; the sample does not
-      // exist, so it enters neither the collision set nor C. The charge is
-      // the INITIATOR's clock, not the network's: remote per-hop ARQ waits
-      // (s.elapsed) happen out of its sight and off its critical path — it
-      // relaunches the moment its own timer fires.
-      delay += sim.channel().config().timeout;
-      continue;
-    }
-    delay += s.elapsed;
-    ++samples;
-    if (!seen.insert(s.node).second) ++collisions;
-  }
+  const detail::CollisionTally tally = detail::collide<Lanes>(
+      sim, initiator, rng,
+      {.timed = true,
+       .timer = config_.timer,
+       .max_hops = config_.max_walk_steps,
+       .arq_hops = true},
+      config_.collisions, config_.max_samples);
 
   Estimate estimate;
   estimate.time = sim.now();
   estimate.messages = sim.meter().since(baseline);
-  estimate.delay = delay;
-  if (collisions < config_.collisions) {
+  estimate.delay = tally.delay;
+  if (tally.collisions < config_.collisions) {
     estimate.valid = false;  // hit the safety bound (graph too large for l)
     return estimate;
   }
   switch (config_.estimator) {
     case CollisionEstimator::kQuadratic:
-      estimate.value = static_cast<double>(samples) *
-                       static_cast<double>(samples) /
+      estimate.value = static_cast<double>(tally.samples) *
+                       static_cast<double>(tally.samples) /
                        (2.0 * static_cast<double>(config_.collisions));
       break;
     case CollisionEstimator::kMaximumLikelihood:
-      estimate.value = solve_mle(seen.size(), config_.collisions);
+      estimate.value = solve_mle(tally.distinct, config_.collisions);
       break;
   }
   return estimate;
 }
+
+template Estimate SampleCollide::estimate_lanes<1>(
+    sim::Simulator&, net::NodeId, support::RngStream&) const;
+template Estimate SampleCollide::estimate_lanes<4>(
+    sim::Simulator&, net::NodeId, support::RngStream&) const;
+template Estimate SampleCollide::estimate_lanes<8>(
+    sim::Simulator&, net::NodeId, support::RngStream&) const;
+template Estimate SampleCollide::estimate_lanes<16>(
+    sim::Simulator&, net::NodeId, support::RngStream&) const;
 
 double SampleCollide::solve_mle(std::uint64_t distinct,
                                 std::uint64_t collisions) {

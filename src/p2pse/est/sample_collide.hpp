@@ -16,6 +16,7 @@
 //   MaximumLikelihood  : solve sum_{d=0}^{D-1} d/(N-d) = l, D = distinct
 // The paper runs T=10 and l in {10, 200}.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "p2pse/est/estimate.hpp"
@@ -68,9 +69,21 @@ class SampleCollide {
 
   /// Runs one full estimation from `initiator` (samples until `l` collisions).
   /// Estimate.messages covers the walks and sample replies of this run.
+  /// The walks run on the interleaved kernel (est/walk_kernel.hpp): walk i
+  /// draws from its own substream of one draw from `rng`, and the result
+  /// does not depend on how many walks are in flight.
   [[nodiscard]] Estimate estimate_once(sim::Simulator& sim,
                                        net::NodeId initiator,
                                        support::RngStream& rng) const;
+
+  /// estimate_once with `Lanes` walks in flight. Every instantiation
+  /// returns the same result; estimate_once uses detail::kWalkLanes, and
+  /// the K-invariance tests instantiate 1, 4, 8 and 16 (the only ones
+  /// built).
+  template <std::size_t Lanes>
+  [[nodiscard]] Estimate estimate_lanes(sim::Simulator& sim,
+                                        net::NodeId initiator,
+                                        support::RngStream& rng) const;
 
   [[nodiscard]] const SampleCollideConfig& config() const noexcept {
     return config_;

@@ -177,6 +177,15 @@ class Graph {
     return arena_[e.offset + static_cast<std::size_t>(rng.uniform_u64(e.len))];
   }
 
+  /// Address of `id`'s `index`-th adjacency slot. Requires index <
+  /// degree(id) (so `id` is alive). Slot `uniform_u64(degree(id))` is the
+  /// neighbor random_neighbor draws; walk kernels pick the slot, prefetch
+  /// it, and read it a step later.
+  [[nodiscard]] const NodeId* neighbor_slot(NodeId id,
+                                            std::size_t index) const noexcept {
+    return arena_.data() + extents_[id].offset + index;
+  }
+
   /// Hints the prefetcher at the cache lines a degree probe / edge wiring
   /// of `id` will touch. Used by churn's candidate loop to overlap the
   /// dependent RNG-draw -> degree-probe miss chains across attempts.

@@ -339,8 +339,9 @@ Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls,
   return out;
 }
 
-Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls,
-                                    net::NodeId from, net::NodeId to) {
+Channel::Delivery Channel::send_arq_priced(MessageMeter& meter,
+                                           MessageClass cls, net::NodeId from,
+                                           net::NodeId to) {
   if (topo_ == nullptr) {
     const Delivery out = send_arq_iid(meter, cls);
     if (recorder_ != nullptr) record(meter, cls, from, to, out);
@@ -370,8 +371,10 @@ Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls,
   return out;
 }
 
-Channel::Delivery Channel::send_reliable(MessageMeter& meter, MessageClass cls,
-                                         net::NodeId from, net::NodeId to) {
+Channel::Delivery Channel::send_reliable_priced(MessageMeter& meter,
+                                                MessageClass cls,
+                                                net::NodeId from,
+                                                net::NodeId to) {
   if (topo_ == nullptr) {
     const Delivery out = send_reliable_iid(meter, cls);
     if (recorder_ != nullptr) record(meter, cls, from, to, out);

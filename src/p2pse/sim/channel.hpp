@@ -160,14 +160,37 @@ class Channel {
   /// above throw std::logic_error once a topology is installed — a message
   /// without endpoints cannot be priced per-link, and silently falling back
   /// to i.i.d. would corrupt topology sweeps.
+  /// The two walk disciplines inline their commonest case — an ideal
+  /// channel with no topology and no recorder, where a hop only counts —
+  /// so a walk replaying its hops pays no call per hop.
   Delivery send(MessageMeter& meter, MessageClass cls, net::NodeId from,
                 net::NodeId to);
   Delivery send_arq(MessageMeter& meter, MessageClass cls, net::NodeId from,
-                    net::NodeId to);
+                    net::NodeId to) {
+    if (counts_only()) return count_only(meter, cls);
+    return send_arq_priced(meter, cls, from, to);
+  }
   Delivery send_reliable(MessageMeter& meter, MessageClass cls,
-                         net::NodeId from, net::NodeId to);
+                         net::NodeId from, net::NodeId to) {
+    if (counts_only()) return count_only(meter, cls);
+    return send_reliable_priced(meter, cls, from, to);
+  }
 
  private:
+  /// Whether a send can only count: nothing to draw, price or record.
+  [[nodiscard]] bool counts_only() const noexcept {
+    return ideal_ && topo_ == nullptr && recorder_ == nullptr;
+  }
+  Delivery count_only(MessageMeter& meter, MessageClass cls) noexcept {
+    meter.count(cls);
+    ++counters_.sends_iid;
+    return Delivery{};
+  }
+  Delivery send_arq_priced(MessageMeter& meter, MessageClass cls,
+                           net::NodeId from, net::NodeId to);
+  Delivery send_reliable_priced(MessageMeter& meter, MessageClass cls,
+                                net::NodeId from, net::NodeId to);
+
   [[nodiscard]] double draw_latency();
   /// One delivered per-link transmission's latency: the i.i.d. draw plus
   /// the link's deterministic terms plus one access-jitter draw. All three

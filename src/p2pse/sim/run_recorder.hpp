@@ -77,6 +77,7 @@ class RunRecorder {
   /// report a length).
   void on_walk(std::uint64_t hops) {
     walk_hops_.observe(static_cast<double>(hops));
+    walk_hop_total_ += hops;
   }
 
   [[nodiscard]] const support::FixedHistogram& delay(MessageClass cls) const {
@@ -84,6 +85,11 @@ class RunRecorder {
   }
   [[nodiscard]] const support::FixedHistogram& walk_hops() const noexcept {
     return walk_hops_;
+  }
+  /// Sum of the hops of every reported walk (the histogram keeps counts
+  /// only).
+  [[nodiscard]] std::uint64_t walk_hop_total() const noexcept {
+    return walk_hop_total_;
   }
 
   /// The per-node tallies recorded so far (indexed by NodeId; nodes beyond
@@ -113,6 +119,7 @@ class RunRecorder {
 
   std::vector<support::FixedHistogram> delay_;  // one per MessageClass
   support::FixedHistogram walk_hops_;
+  std::uint64_t walk_hop_total_ = 0;
   std::vector<NodeLoad> loads_;
 };
 

@@ -3,6 +3,11 @@
 // reduced scale BEFORE the registry/spec-table refactor. The refactored
 // generators must reproduce them bit-for-bit — same RNG stream consumption,
 // same formatting — at the same seed/threads.
+//
+// One documented exception: kGoldenFig01 was rebaselined once for the
+// interleaved walk kernel (est/walk_kernel.hpp), which gives every
+// Sample&Collide walk its own substream. kGoldenFig05 (Aggregation) is
+// still the seed capture.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -26,9 +31,9 @@ const char kGoldenFig01[] = R"GOLD(
 
 Quality of Sample&Collide estimations
 140 |                                                                        
-    |              *             *                                           
-    |+             +             +              +             +             +
-    |                                                                        
+    |                            *                                           
+    |+                           +              +             +             +
+    |              +                                                        *
     |                                                                        
     |                                                                        
     |                                                                        
@@ -48,24 +53,24 @@ Quality of Sample&Collide estimations
      x: Number of estimations   y: Quality %
      legend:  '*' one shot  '+' last 3 runs
 
-  - mean |error| oneShot: 23.1% (paper: mostly within 10%, peaks to 20%)
-  - mean |error| lastK:   23.5% (paper: within 3-4%)
-  - mean messages per estimation: 56.9k
+  - mean |error| oneShot: 24% (paper: mostly within 10%, peaks to 20%)
+  - mean |error| lastK:   25.3% (paper: within 3-4%)
+  - mean messages per estimation: 57.2k
   - stats over 2 independent overlay replicas; plotted curves are replica #1
 
 # csv: series,x,y
-# csv: one shot,1,122.241
-# csv: one shot,2,128.708
-# csv: one shot,3,131.01
-# csv: one shot,4,120.017
-# csv: one shot,5,123.842
-# csv: one shot,6,125.453
-# csv: last 3 runs,1,122.241
-# csv: last 3 runs,2,125.474
-# csv: last 3 runs,3,127.32
-# csv: last 3 runs,4,126.578
-# csv: last 3 runs,5,124.956
-# csv: last 3 runs,6,123.104
+# csv: one shot,1,120.017
+# csv: one shot,2,118.127
+# csv: one shot,3,128.053
+# csv: one shot,4,124.808
+# csv: one shot,5,125.453
+# csv: one shot,6,119.07
+# csv: last 3 runs,1,120.017
+# csv: last 3 runs,2,119.072
+# csv: last 3 runs,3,122.066
+# csv: last 3 runs,4,123.663
+# csv: last 3 runs,5,126.105
+# csv: last 3 runs,6,123.11
 )GOLD";
 
 // ./fig05_agg_static_100k --nodes 800 --estimations 30 --replicas 2 --seed 7

@@ -36,22 +36,23 @@ std::string sim_json(const FigureParams& base, std::size_t threads) {
 
 // ./fig01_sc_static_100k --nodes 1200 --estimations 6 --replicas 2 --seed 42
 //                        --threads 2 --stats-json ...   (the `sim` object,
-//                        schema version 2: bytes/load/distributions blocks)
+//                        schema version 2: bytes/load/distributions blocks),
+//                        rebaselined once for the interleaved walk kernel
 const char kGoldenFig01Sim[] =
     "{\"figure\":\"fig_sc_static\",\"params\":\"nodes=1200 l=200 T=10 estimations=6 replicas=2 seed=42\","
     "\"replicas\":2,\"events\":{\"scheduled\":0,\"fired\":0,\"spilled_pool\":0,"
-    "\"spilled_heap\":0},\"channel\":{\"sends_iid\":683320,\"sends_link\":0,\"drops\":0,"
+    "\"spilled_heap\":0},\"channel\":{\"sends_iid\":689667,\"sends_link\":0,\"drops\":0,"
     "\"retransmits\":0,\"arq_timeouts\":0},\"graph\":{\"joins\":2400,\"leaves\":0,"
-    "\"chunk_recycles\":463},\"messages\":{\"walk_step\":674129,\"sample_reply\":9191,"
+    "\"chunk_recycles\":463},\"messages\":{\"walk_step\":680425,\"sample_reply\":9242,"
     "\"gossip_spread\":0,\"poll_reply\":0,\"aggregation_push\":0,\"aggregation_pull\":0,"
-    "\"control\":0,\"total\":683320},\"bytes\":{\"walk_step\":29661676,\"sample_reply\":367640,"
+    "\"control\":0,\"total\":689667},\"bytes\":{\"walk_step\":29938700,\"sample_reply\":369680,"
     "\"gossip_spread\":0,\"poll_reply\":0,\"aggregation_push\":0,\"aggregation_pull\":0,"
-    "\"control\":0,\"total\":30029316},\"load\":{\"max_node_messages\":11204,"
-    "\"max_node_bytes\":474640},\"distributions\":{\"delay\":{\"walk_step\":{\"bounds\":[0,"
-    "1,5,10,25,50,100,250,500,1000,2500],\"buckets\":[674129,0,0,0,0,0,"
-    "0,0,0,0,0,0],\"count\":674129},\"sample_reply\":{\"bounds\":[0,1,5,10,"
-    "25,50,100,250,500,1000,2500],\"buckets\":[9191,0,0,0,0,0,0,0,0,0,0,"
-    "0],\"count\":9191},\"gossip_spread\":{\"bounds\":[0,1,5,10,25,50,100,250,"
+    "\"control\":0,\"total\":30308380},\"load\":{\"max_node_messages\":11224,"
+    "\"max_node_bytes\":475484},\"distributions\":{\"delay\":{\"walk_step\":{\"bounds\":[0,"
+    "1,5,10,25,50,100,250,500,1000,2500],\"buckets\":[680425,0,0,0,0,0,"
+    "0,0,0,0,0,0],\"count\":680425},\"sample_reply\":{\"bounds\":[0,1,5,10,"
+    "25,50,100,250,500,1000,2500],\"buckets\":[9242,0,0,0,0,0,0,0,0,0,0,"
+    "0],\"count\":9242},\"gossip_spread\":{\"bounds\":[0,1,5,10,25,50,100,250,"
     "500,1000,2500],\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0],\"count\":0},\"poll_reply\":{\"bounds\":[0,"
     "1,5,10,25,50,100,250,500,1000,2500],\"buckets\":[0,0,0,0,0,0,0,0,0,"
     "0,0,0],\"count\":0},\"aggregation_push\":{\"bounds\":[0,1,5,10,25,50,100,"
@@ -60,11 +61,11 @@ const char kGoldenFig01Sim[] =
     "\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0],\"count\":0},\"control\":{\"bounds\":[0,"
     "1,5,10,25,50,100,250,500,1000,2500],\"buckets\":[0,0,0,0,0,0,0,0,0,"
     "0,0,0],\"count\":0}},\"walk_hops\":{\"bounds\":[1,2,5,10,20,50,100,200,"
-    "500,1000],\"buckets\":[0,0,0,0,0,133,9019,39,0,0,0],\"count\":9191},"
+    "500,1000],\"buckets\":[0,0,0,0,0,130,9076,36,0,0,0],\"count\":9242},"
     "\"node_messages\":{\"bounds\":[0,1,10,100,1000,10000,1e+05,1e+06],\"buckets\":[0,"
-    "0,0,19,2333,46,2,0,0],\"count\":2400},\"node_bytes\":{\"bounds\":[0,1024,"
+    "0,0,18,2328,52,2,0,0],\"count\":2400},\"node_bytes\":{\"bounds\":[0,1024,"
     "10240,102400,1048576,10485760,104857600,1073741824],\"buckets\":[0,"
-    "0,171,2217,12,0,0,0,0],\"count\":2400},\"degree\":{\"bounds\":[0,1,2,4,"
+    "0,163,2225,12,0,0,0,0],\"count\":2400},\"degree\":{\"bounds\":[0,1,2,4,"
     "8,16,32,64,128,256],\"buckets\":[0,19,61,353,1020,947,0,0,0,0,0],\"count\":2400}}}";
 
 TEST(RunStats, Fig01SimSectionMatchesGoldenByteForByte) {
