@@ -148,7 +148,7 @@ void BM_ChannelSendIdeal(benchmark::State& state) {
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send(meter, sim::MessageClass::kWalkStep, 0, 1).delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -162,7 +162,7 @@ void BM_ChannelSendLossy(benchmark::State& state) {
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send(meter, sim::MessageClass::kWalkStep, 0, 1).delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -176,7 +176,8 @@ void BM_ChannelSendArqLossy(benchmark::State& state) {
   sim::MessageMeter meter;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        channel.send_arq(meter, sim::MessageClass::kWalkStep).delivered);
+        channel.send_arq(meter, sim::MessageClass::kWalkStep, 0, 1)
+            .delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -266,26 +267,6 @@ void BM_AggregationRoundLossy(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_AggregationRoundLossy)->Arg(10000);
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  // One schedule + one fire per iteration against a standing population of
-  // pending events — the steady state of a busy simulator. Exercises the
-  // 4-ary heap sift paths and the Event inline-storage fast path (the
-  // capture below must never allocate).
-  sim::EventQueue q;
-  support::RngStream rng(42);
-  std::uint64_t sink = 0;
-  for (int i = 0; i < 1024; ++i) {
-    q.schedule(rng.uniform_real(0.0, 100.0), [&sink] { ++sink; });
-  }
-  for (auto _ : state) {
-    const sim::Time fired = q.run_next();
-    q.schedule(fired + rng.uniform_real(0.0, 100.0), [&sink] { ++sink; });
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueScheduleRun);
 
 void BM_GraphAddRemoveEdge(benchmark::State& state) {
   // Random edge toggle on a paper-sized overlay: dedup scan + append +

@@ -163,15 +163,6 @@ bool Channel::lossy() const noexcept {
   return config_.loss > 0.0 || (topo_ != nullptr && topo_->lossy());
 }
 
-void Channel::require_iid(const char* method) const {
-  if (topo_ != nullptr) {
-    throw std::logic_error(
-        std::string("Channel::") + method +
-        ": a per-link topology is installed; this message must name its "
-        "(from, to) endpoints so the link can be priced");
-  }
-}
-
 void Channel::record(const MessageMeter& meter, MessageClass cls,
                      net::NodeId from, net::NodeId to,
                      const Delivery& delivery) {
@@ -180,34 +171,6 @@ void Channel::record(const MessageMeter& meter, MessageClass cls,
   if (delivery.delivered) {
     recorder_->on_delivered(cls, to, delivery.latency, wire);
   }
-}
-
-Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls) {
-  require_iid("send");
-  const Delivery out = send_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
-}
-
-Channel::Delivery Channel::send_arq(MessageMeter& meter, MessageClass cls) {
-  require_iid("send_arq");
-  const Delivery out = send_arq_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
-}
-
-Channel::Delivery Channel::send_reliable(MessageMeter& meter,
-                                         MessageClass cls) {
-  require_iid("send_reliable");
-  const Delivery out = send_reliable_iid(meter, cls);
-  if (recorder_ != nullptr) {
-    record(meter, cls, net::kInvalidNode, net::kInvalidNode, out);
-  }
-  return out;
 }
 
 Channel::Delivery Channel::send_iid(MessageMeter& meter, MessageClass cls) {

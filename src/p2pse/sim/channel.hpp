@@ -143,23 +143,17 @@ class Channel {
   /// full timeout.
   [[nodiscard]] bool lossy() const noexcept;
 
-  /// One fire-and-forget transmission.
-  Delivery send(MessageMeter& meter, MessageClass cls);
-
-  /// Bounded ARQ: up to 1 + config().retries transmissions; gives up after
-  /// that (Delivery.delivered == false).
-  Delivery send_arq(MessageMeter& meter, MessageClass cls);
-
-  /// Hop-reliable delivery: retransmits until the message gets through
-  /// (safety-capped; the cap can only bite at loss rates ~1).
-  Delivery send_reliable(MessageMeter& meter, MessageClass cls);
-
-  /// Per-link variants: delivery parameters are composed for the concrete
-  /// (from, to) pair when a topology is installed; without one they are the
-  /// plain i.i.d. sends (endpoints ignored). The endpoint-LESS overloads
-  /// above throw std::logic_error once a topology is installed — a message
-  /// without endpoints cannot be priced per-link, and silently falling back
-  /// to i.i.d. would corrupt topology sweeps.
+  /// Every send names its (from, to) endpoints. With a topology installed
+  /// the delivery parameters are composed for that concrete link; without
+  /// one the send is priced i.i.d. and the endpoints only feed the
+  /// recorder.
+  ///
+  /// send — one fire-and-forget transmission.
+  /// send_arq — bounded ARQ: up to 1 + config().retries transmissions;
+  ///   gives up after that (Delivery.delivered == false).
+  /// send_reliable — retransmits until the message gets through
+  ///   (safety-capped; the cap can only bite at loss rates ~1).
+  ///
   /// The two walk disciplines inline their commonest case — an ideal
   /// channel with no topology and no recorder, where a hop only counts —
   /// so a walk replaying its hops pays no call per hop.
@@ -196,12 +190,10 @@ class Channel {
   /// the link's deterministic terms plus one access-jitter draw. All three
   /// per-link disciplines share it, keeping their draw sequences aligned.
   [[nodiscard]] double draw_link_latency(const topo::Topology::LinkParams& link);
-  void require_iid(const char* method) const;
 
-  /// The i.i.d. delivery bodies, shared by the endpoint-less public sends
-  /// and the endpoint-taking fallbacks (topology absent). They draw and
-  /// count but never record — the public wrappers record with whatever
-  /// endpoint knowledge they have.
+  /// The i.i.d. delivery bodies: the sends' fallback when no topology is
+  /// installed. They draw and count but never record — the public sends
+  /// record with their endpoints.
   Delivery send_iid(MessageMeter& meter, MessageClass cls);
   Delivery send_arq_iid(MessageMeter& meter, MessageClass cls);
   Delivery send_reliable_iid(MessageMeter& meter, MessageClass cls);

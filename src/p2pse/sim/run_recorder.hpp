@@ -51,8 +51,8 @@ class RunRecorder {
   RunRecorder();
 
   /// One logical send: `transmissions` datagrams of `wire_size` bytes left
-  /// `from`. kInvalidNode (an endpoint-less i.i.d. send) skips the per-node
-  /// tally but still counts globally via the meter.
+  /// `from`. kInvalidNode (a send without node attribution) skips the
+  /// per-node tally but still counts globally via the meter.
   void on_send(net::NodeId from, std::uint32_t transmissions,
                std::uint64_t wire_size) {
     if (from == net::kInvalidNode) return;

@@ -37,14 +37,14 @@ TEST(FlightRecorder, ToJsonCarriesSchemaAndEventFields) {
   FlightRecorder recorder(4);
   recorder.record(1.5, Kind::kSend, net::NodeId{7},
                   sim::MessageClass::kSampleReply);
-  recorder.record(2.0, Kind::kEventFired, net::kInvalidNode,
+  recorder.record(2.0, Kind::kNote, net::kInvalidNode,
                   sim::MessageClass::kControl);
   const std::string json = recorder.to_json();
   EXPECT_NE(json.find("\"schema\":\"p2pse-flight\""), std::string::npos);
   EXPECT_NE(json.find("\"capacity\":4"), std::string::npos);
   EXPECT_NE(json.find("\"recorded\":2"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"send\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"event_fired\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"note\""), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"sample_reply\""), std::string::npos);
   EXPECT_NE(json.find("\"node\":7"), std::string::npos);
   // kInvalidNode renders as null, not a sentinel integer.

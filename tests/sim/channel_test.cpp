@@ -170,7 +170,8 @@ TEST(Channel, DefaultChannelIsIdealAndDeliversAtZeroLatency) {
   MessageMeter meter;
   EXPECT_TRUE(channel.ideal());
   for (int i = 0; i < 100; ++i) {
-    const Channel::Delivery d = channel.send(meter, MessageClass::kWalkStep);
+    const Channel::Delivery d =
+        channel.send(meter, MessageClass::kWalkStep, 0, 1);
     EXPECT_TRUE(d.delivered);
     EXPECT_DOUBLE_EQ(d.latency, 0.0);
     EXPECT_EQ(d.transmissions, 1u);
@@ -187,7 +188,7 @@ TEST(Channel, ExplicitIdealConfigKeepsTheFastPath) {
   Simulator sim(net::Graph(4), 1);
   sim.set_network(NetworkConfig::parse("net:loss=0,latency=constant:0"));
   EXPECT_TRUE(sim.channel().ideal());
-  const Channel::Delivery d = sim.send(MessageClass::kGossipSpread);
+  const Channel::Delivery d = sim.send(MessageClass::kGossipSpread, 0, 1);
   EXPECT_TRUE(d.delivered);
   EXPECT_DOUBLE_EQ(d.latency, 0.0);
   EXPECT_EQ(sim.meter().of(MessageClass::kGossipSpread), 1u);
@@ -201,7 +202,9 @@ TEST(Channel, DropRateTracksTheConfiguredLoss) {
   int dropped = 0;
   const int sends = 20000;
   for (int i = 0; i < sends; ++i) {
-    if (!channel.send(meter, MessageClass::kWalkStep).delivered) ++dropped;
+    if (!channel.send(meter, MessageClass::kWalkStep, 0, 1).delivered) {
+      ++dropped;
+    }
   }
   const double rate = static_cast<double>(dropped) / sends;
   EXPECT_NEAR(rate, 0.05, 0.01);
@@ -217,7 +220,7 @@ TEST(Channel, LatencySamplesMatchTheModelMean) {
   double total = 0.0;
   const int sends = 20000;
   for (int i = 0; i < sends; ++i) {
-    total += channel.send(meter, MessageClass::kWalkStep).latency;
+    total += channel.send(meter, MessageClass::kWalkStep, 0, 1).latency;
   }
   EXPECT_NEAR(total / sends, 50.0, 2.0);
 }
@@ -230,7 +233,7 @@ TEST(Channel, JitterAddsBoundedExtraLatency) {
   MessageMeter meter;
   for (int i = 0; i < 1000; ++i) {
     const double latency =
-        channel.send(meter, MessageClass::kWalkStep).latency;
+        channel.send(meter, MessageClass::kWalkStep, 0, 1).latency;
     EXPECT_GE(latency, 10.0);
     EXPECT_LT(latency, 15.0);
   }
@@ -243,7 +246,8 @@ TEST(Channel, ArqGivesUpAfterRetriesChargingTimeouts) {
   config.retries = 2;
   Channel channel(config, support::RngStream(7));
   MessageMeter meter;
-  const Channel::Delivery d = channel.send_arq(meter, MessageClass::kWalkStep);
+  const Channel::Delivery d =
+      channel.send_arq(meter, MessageClass::kWalkStep, 0, 1);
   EXPECT_FALSE(d.delivered);
   EXPECT_EQ(d.transmissions, 3u);  // first try + 2 retries
   EXPECT_DOUBLE_EQ(d.latency, 3 * 30.0);
@@ -259,7 +263,7 @@ TEST(Channel, ArqRecoversFromLossWithinItsBudget) {
   int delivered = 0;
   const int sends = 2000;
   for (int i = 0; i < sends; ++i) {
-    if (channel.send_arq(meter, MessageClass::kWalkStep).delivered) {
+    if (channel.send_arq(meter, MessageClass::kWalkStep, 0, 1).delivered) {
       ++delivered;
     }
   }
@@ -274,7 +278,7 @@ TEST(Channel, ReliableSendAlwaysDeliversEvenUnderHeavyLoss) {
   MessageMeter meter;
   for (int i = 0; i < 200; ++i) {
     const Channel::Delivery d =
-        channel.send_reliable(meter, MessageClass::kWalkStep);
+        channel.send_reliable(meter, MessageClass::kWalkStep, 0, 1);
     EXPECT_TRUE(d.delivered);
     EXPECT_GE(d.transmissions, 1u);
   }
@@ -290,8 +294,10 @@ TEST(Channel, SameSeedSameConfigGivesIdenticalDeliverySequences) {
   Channel b(config, support::RngStream(99));
   MessageMeter meter_a, meter_b;
   for (int i = 0; i < 500; ++i) {
-    const Channel::Delivery da = a.send(meter_a, MessageClass::kWalkStep);
-    const Channel::Delivery db = b.send(meter_b, MessageClass::kWalkStep);
+    const Channel::Delivery da =
+        a.send(meter_a, MessageClass::kWalkStep, 0, 1);
+    const Channel::Delivery db =
+        b.send(meter_b, MessageClass::kWalkStep, 0, 1);
     ASSERT_EQ(da.delivered, db.delivered);
     ASSERT_DOUBLE_EQ(da.latency, db.latency);
   }
@@ -304,8 +310,8 @@ TEST(Channel, SimulatorsWithTheSameSeedSeeTheSameChannel) {
   a.set_network(config);
   b.set_network(config);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(a.send(MessageClass::kGossipSpread).delivered,
-              b.send(MessageClass::kGossipSpread).delivered);
+    ASSERT_EQ(a.send(MessageClass::kGossipSpread, 0, 1).delivered,
+              b.send(MessageClass::kGossipSpread, 0, 1).delivered);
   }
 }
 
@@ -314,7 +320,7 @@ TEST(Channel, ChannelRngIsASubstreamThatLeavesTheRootUntouched) {
   NetworkConfig config;
   config.loss = 0.5;
   a.set_network(config);  // b keeps the ideal default
-  for (int i = 0; i < 100; ++i) (void)a.send(MessageClass::kWalkStep);
+  for (int i = 0; i < 100; ++i) (void)a.send(MessageClass::kWalkStep, 0, 1);
   // Installing + exercising the channel must not perturb the root stream
   // estimators and churn derive from.
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());

@@ -46,9 +46,9 @@ TEST(RunRecorder, ResetNodeLoadsKeepsHistograms) {
   EXPECT_EQ(recorder.walk_hops().count(), 1u);
 }
 
-// The channel is the one producer of send/delivery records: an ideal
-// endpoint-taking send must be attributed to its real endpoints, and the
-// endpoint-less i.i.d. sends must count delays without node attribution.
+// The channel is the one producer of send/delivery records: an ideal send
+// must be attributed to its real endpoints, and a send naming kInvalidNode
+// endpoints must count its delay without node attribution.
 TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
   Channel channel;  // ideal, draws nothing
   RunRecorder recorder;
@@ -59,7 +59,8 @@ TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
       channel.send(meter, MessageClass::kWalkStep, net::NodeId{1},
                    net::NodeId{2});
   ASSERT_TRUE(link.delivered);
-  const Channel::Delivery iid = channel.send(meter, MessageClass::kControl);
+  const Channel::Delivery iid = channel.send(
+      meter, MessageClass::kControl, net::kInvalidNode, net::kInvalidNode);
   ASSERT_TRUE(iid.delivered);
 
   const std::uint64_t walk_wire =
@@ -69,7 +70,7 @@ TEST(RunRecorder, ChannelRecordsEndpointsAndDelays) {
   EXPECT_EQ(recorder.node_loads()[1].sent_bytes, walk_wire);
   EXPECT_EQ(recorder.node_loads()[2].recv_msgs, 1u);
   EXPECT_EQ(recorder.node_loads()[2].recv_bytes, walk_wire);
-  // Both logical sends observed a delay; only the per-link one has nodes.
+  // Both logical sends observed a delay; only the attributed one has nodes.
   EXPECT_EQ(recorder.delay(MessageClass::kWalkStep).count(), 1u);
   EXPECT_EQ(recorder.delay(MessageClass::kControl).count(), 1u);
   EXPECT_EQ(recorder.node_loads()[1].messages() +

@@ -1,9 +1,7 @@
-// Per-link channel mode: flat fast-path byte-identity, endpoint strictness,
-// per-link loss/latency composition through the three delivery disciplines,
-// and the simulator-level wiring (set_topology / set_network ordering).
+// Per-link channel mode: flat fast-path byte-identity, per-link
+// loss/latency composition through the three delivery disciplines, and the
+// simulator-level wiring (set_topology / set_network ordering).
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "p2pse/net/builders.hpp"
 #include "p2pse/sim/simulator.hpp"
@@ -43,20 +41,6 @@ TEST(PerLinkChannel, FlatTopologyDrawSequenceMatchesBareChannel) {
     EXPECT_EQ(a.delivered, b.delivered);
     EXPECT_DOUBLE_EQ(a.latency, b.latency);
   }
-}
-
-TEST(PerLinkChannel, EndpointLessSendThrowsUnderAPerLinkTopology) {
-  sim::Simulator sim(net::Graph(10), 42);
-  sim.set_topology(clustered());
-  ASSERT_TRUE(sim.channel().per_link());
-  EXPECT_THROW((void)sim.send(MessageClass::kWalkStep), std::logic_error);
-  EXPECT_THROW((void)sim.send_arq(MessageClass::kWalkStep), std::logic_error);
-  EXPECT_THROW((void)sim.send_reliable(MessageClass::kWalkStep),
-               std::logic_error);
-  // The endpoint-taking forms work.
-  const Channel::Delivery d = sim.send(MessageClass::kWalkStep, 0, 1);
-  EXPECT_GE(d.latency, 0.0);
-  EXPECT_EQ(sim.meter().total(), 1u);
 }
 
 TEST(PerLinkChannel, MovingTheSimulatorReattachesTheTopology) {
