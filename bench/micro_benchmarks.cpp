@@ -129,6 +129,25 @@ void BM_HopsSamplingPoll(benchmark::State& state) {
 }
 BENCHMARK(BM_HopsSamplingPoll)->Arg(10000)->Arg(100000);
 
+void BM_HopsSamplingPollPerLink(benchmark::State& state) {
+  // The path the hs_trace_clustered e2e workload runs: per-link pricing
+  // over a clustered topology with the stats recorder armed.
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  support::RngStream build_rng(42);
+  sim::Simulator sim(net::build_heterogeneous_random({nodes, 1, 10}, build_rng),
+                     43);
+  sim.set_topology(topo::TopologyConfig::parse("topo:clustered,regions=8"));
+  sim.enable_recorder();
+  support::RngStream rng(44);
+  const est::HopsSampling hs({});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hs.run_once(sim, 0, rng).estimate.value);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HopsSamplingPollPerLink)->Arg(100000);
+
 void BM_CyclonRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   net::CyclonOverlay overlay(nodes, {10, 4}, support::RngStream(42));

@@ -61,6 +61,12 @@ class RunRecorder {
     load.sent_bytes += static_cast<std::uint64_t>(transmissions) * wire_size;
   }
 
+  /// Hints the prefetcher at the node's tally, if it has one; a send from
+  /// or to the node writes it.
+  void prefetch(net::NodeId id) const noexcept {
+    if (id < loads_.size()) __builtin_prefetch(&loads_[id], 1);
+  }
+
   /// One delivered logical message: `to` received the final (successful)
   /// transmission after `delay` sim-time units end to end.
   void on_delivered(MessageClass cls, net::NodeId to, double delay,

@@ -255,8 +255,15 @@ class RngStream {
   }
 #endif
 
-  /// Samples `k` distinct indices from [0, n). Requires k <= n.
-  /// Order of the returned indices is unspecified.
+  /// Fills `out` with out.size() distinct indices from [0, n); throws
+  /// std::invalid_argument when out.size() > n. Allocates nothing, but
+  /// costs O(k^2) in k = out.size(): every caller draws a gossip fanout.
+  /// The draws and the order of the indices are golden-pinned by the tests:
+  /// HopsSampling's gossip targets, and so its reports, depend on both.
+  void sample_without_replacement(std::size_t n, std::span<std::size_t> out);
+
+  /// The vector form of the above: `k` distinct indices from [0, n), with
+  /// the same draws and the same order.
   [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                                     std::size_t k);
 

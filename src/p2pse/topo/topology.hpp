@@ -156,6 +156,12 @@ class Topology final : public net::MembershipObserver {
   /// (cache growth) — copy the struct to hold it across queries.
   [[nodiscard]] const NodeInfo& node(net::NodeId id);
 
+  /// Hints the prefetcher at the node's cached embedding, if it has one;
+  /// link() reads it. Draws and materializes nothing.
+  void prefetch(net::NodeId id) const noexcept {
+    if (id < nodes_.size()) __builtin_prefetch(&nodes_[id], 0);
+  }
+
   /// Composed deterministic link parameters for one (from, to) pair.
   [[nodiscard]] LinkParams link(net::NodeId from, net::NodeId to);
 

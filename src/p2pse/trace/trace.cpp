@@ -80,40 +80,36 @@ void ChurnTrace::validate() const {
   std::unordered_set<std::uint64_t> closed;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
-    const std::string at = "event " + std::to_string(i) + " (t=" +
-                           exact(event.time) + ", session " +
-                           std::to_string(event.session) + ")";
+    // Describes the event only on failure: formatting every valid event
+    // would dominate validating a generated trace.
+    const auto fail = [&](std::string_view what) {
+      bad_trace("event " + std::to_string(i) + " (t=" + exact(event.time) +
+                ", session " + std::to_string(event.session) + "): " +
+                std::string(what));
+    };
     if (event.time < 0.0 || event.time > duration) {
-      bad_trace(at + ": time outside [0, duration]");
+      fail("time outside [0, duration]");
     }
     if (event.time == prev) {
-      bad_trace(at + ": duplicate timestamp (replay order would be "
-                     "ambiguous)");
+      fail("duplicate timestamp (replay order would be ambiguous)");
     }
-    if (event.time < prev) bad_trace(at + ": timestamps not sorted");
+    if (event.time < prev) fail("timestamps not sorted");
     prev = event.time;
     const bool is_initial = event.session < initial_sessions;
     if (event.kind == TraceEvent::Kind::kJoin) {
-      if (is_initial) {
-        bad_trace(at + ": join of an initial session (alive at t=0)");
-      }
+      if (is_initial) fail("join of an initial session (alive at t=0)");
       if (closed.contains(event.session)) {
-        bad_trace(at + ": session id reused after its leave");
+        fail("session id reused after its leave");
       }
-      if (!alive_joined.insert(event.session).second) {
-        bad_trace(at + ": duplicate join");
-      }
+      if (!alive_joined.insert(event.session).second) fail("duplicate join");
     } else {
       if (is_initial) {
-        if (!closed.insert(event.session).second) {
-          bad_trace(at + ": duplicate leave");
-        }
+        if (!closed.insert(event.session).second) fail("duplicate leave");
       } else if (alive_joined.erase(event.session) == 1) {
         closed.insert(event.session);
       } else {
-        bad_trace(at + (closed.contains(event.session)
-                            ? ": duplicate leave"
-                            : ": leave before join"));
+        fail(closed.contains(event.session) ? "duplicate leave"
+                                            : "leave before join");
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "p2pse/support/stats.hpp"
@@ -233,6 +234,107 @@ TEST(RngStream, SampleWithoutReplacementIsUniform) {
   }
   // Each index expected 3000 times; chi2 with df=19, P(>50) < 1e-4.
   EXPECT_LT(chi_square_uniform(counts), 50.0);
+}
+
+// --- sample_without_replacement goldens -------------------------------------
+// Recorded from the allocating implementation (an unordered_set for Floyd's
+// branch, an n-sized pool for the dense branch) that the allocation-free
+// span form replaced. Both the values, in order, and the draws consumed
+// (the stream's next u64 afterwards) must stay put: HopsSampling's gossip
+// targets, and so every HS figure, depend on them.
+
+struct SampleGolden {
+  std::uint64_t seed;
+  std::size_t n;
+  std::vector<std::size_t> picks;
+  std::uint64_t next;  ///< next_u64() after the sample
+};
+
+const std::vector<SampleGolden>& sample_goldens() {
+  static const std::vector<SampleGolden> goldens = {
+      // Floyd's branch (4k <= n); 40 = 4 * 10 is its edge.
+      {7, 40, {26, 10, 33}, 0xfb2938731e807240ULL},
+      {7, 40, {21, 8, 27, 33, 34, 31, 2, 3, 15, 6}, 0x8a971122d61f6197ULL},
+      {11, 37, {6, 2, 7, 14, 32, 10, 17, 35, 23}, 0x3aa71a36aaba2387ULL},
+      {3, 9, {5, 8}, 0x37e00afb3229fd51ULL},
+      // Dense branch (partial Fisher-Yates).
+      {7, 12, {8, 4, 10, 11, 3}, 0xdf6e1ce3b6218c49ULL},
+      {13, 16, {3, 12, 15, 4, 11, 9, 7, 1, 6, 8, 13, 10, 2, 0, 14, 5},
+       0xc5c6e3e6bcbc9c1bULL},
+      {5, 39, {11, 23, 26, 32, 22, 31, 4, 3, 19, 20, 38, 18, 21, 7, 28, 35},
+       0xae450c5d6e8f17e5ULL},
+      {21, 2, {0}, 0xce85619758d07de3ULL},
+  };
+  return goldens;
+}
+
+TEST(RngStream, SampleWithoutReplacementMatchesGoldens) {
+  for (const SampleGolden& golden : sample_goldens()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << golden.seed << " n " << golden.n << " k "
+                 << golden.picks.size());
+    RngStream span_rng(golden.seed);
+    std::vector<std::size_t> picks(golden.picks.size());
+    span_rng.sample_without_replacement(golden.n, std::span(picks));
+    EXPECT_EQ(picks, golden.picks);
+    EXPECT_EQ(span_rng.next_u64(), golden.next);
+
+    RngStream vector_rng(golden.seed);
+    EXPECT_EQ(vector_rng.sample_without_replacement(golden.n,
+                                                    golden.picks.size()),
+              golden.picks);
+    EXPECT_EQ(vector_rng.next_u64(), golden.next);
+  }
+}
+
+/// FNV-1a over the little-endian bytes of `value`.
+std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffU;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(RngStream, SampleWithoutReplacementGridDigest) {
+  // Every (seed, n <= 40, k <= min(n, 16)): both branches, every k/n ratio
+  // a gossip fanout hits. One digest over (n, k, picks, next u64) per case.
+  constexpr std::uint64_t kGolden = 0xf4bbe9485af19f90ULL;
+  std::uint64_t span_digest = 0xcbf29ce484222325ULL;
+  std::uint64_t vector_digest = span_digest;
+  std::size_t cases = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 42}) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+      for (std::size_t k = 0; k <= std::min<std::size_t>(n, 16); ++k) {
+        const std::uint64_t case_seed = seed * 1000 + n * 17 + k;
+        RngStream span_rng(case_seed);
+        std::vector<std::size_t> picks(k);
+        span_rng.sample_without_replacement(n, std::span(picks));
+        RngStream vector_rng(case_seed);
+        const auto vector_picks = vector_rng.sample_without_replacement(n, k);
+        const auto fold = [&](std::uint64_t& digest,
+                              const std::vector<std::size_t>& values,
+                              RngStream& rng) {
+          digest = fnv_mix(fnv_mix(digest, n), k);
+          for (const std::size_t v : values) digest = fnv_mix(digest, v);
+          digest = fnv_mix(digest, rng.next_u64());
+        };
+        fold(span_digest, picks, span_rng);
+        fold(vector_digest, vector_picks, vector_rng);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2244u);
+  EXPECT_EQ(span_digest, kGolden);
+  EXPECT_EQ(vector_digest, kGolden);
+}
+
+TEST(RngStream, SampleWithoutReplacementSpanRejectsOverdraw) {
+  RngStream rng(37);
+  std::vector<std::size_t> picks(4);
+  EXPECT_THROW(rng.sample_without_replacement(3, std::span(picks)),
+               std::invalid_argument);
 }
 
 // --- Batched draws: must consume the stream exactly like the scalar APIs ---

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace p2pse::trace {
 namespace {
@@ -24,6 +27,16 @@ ChurnTrace small_trace() {
       {40.0, Kind::kJoin, 3},    // right-censored (never leaves)
   };
   return trace;
+}
+
+/// The what() text validate() throws; empty when the trace is valid.
+std::string validation_error(const ChurnTrace& trace) {
+  try {
+    trace.validate();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return {};
 }
 
 TEST(ChurnTrace, EmptyTraceIsValid) {
@@ -45,22 +58,29 @@ TEST(ChurnTrace, ValidTracePassesValidation) {
   EXPECT_NO_THROW(small_trace().validate());
 }
 
+// The rejections pin validate()'s exact message: the first offending
+// event's index, exact time (full round-trip precision) and session, so a
+// bad trace file can be fixed by hand.
+
 TEST(ChurnTrace, RejectsNonPositiveDuration) {
   ChurnTrace trace;
   trace.duration = 0.0;
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace), "ChurnTrace: duration must be > 0");
 }
 
 TEST(ChurnTrace, RejectsUnsortedTimestamps) {
   ChurnTrace trace = small_trace();
   std::swap(trace.events[0], trace.events[1]);
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 1 (t=10, session 2): timestamps not sorted");
 }
 
 TEST(ChurnTrace, RejectsDuplicateTimestamps) {
   ChurnTrace trace = small_trace();
   trace.events[1].time = trace.events[0].time;  // ambiguous replay order
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 1 (t=10, session 0): duplicate timestamp "
+            "(replay order would be ambiguous)");
 }
 
 TEST(ChurnTrace, RejectsLeaveBeforeJoin) {
@@ -68,22 +88,26 @@ TEST(ChurnTrace, RejectsLeaveBeforeJoin) {
   trace.duration = 100.0;
   trace.initial_sessions = 1;
   trace.events = {{5.0, Kind::kLeave, 7}};  // session 7 never joined
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 0 (t=5, session 7): leave before join");
 }
 
 TEST(ChurnTrace, RejectsDuplicateJoin) {
   ChurnTrace trace;
   trace.duration = 100.0;
   trace.events = {{1.0, Kind::kJoin, 0}, {2.0, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 1 (t=2, session 0): duplicate join");
 }
 
 TEST(ChurnTrace, RejectsJoinOfInitialSession) {
   ChurnTrace trace;
   trace.duration = 100.0;
   trace.initial_sessions = 3;
-  trace.events = {{1.0, Kind::kJoin, 2}};  // id 2 is alive at t=0
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  trace.events = {{0.1, Kind::kJoin, 2}};  // id 2 is alive at t=0
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 0 (t=0.10000000000000001, session 2): join of "
+            "an initial session (alive at t=0)");
 }
 
 TEST(ChurnTrace, RejectsDuplicateLeave) {
@@ -91,7 +115,16 @@ TEST(ChurnTrace, RejectsDuplicateLeave) {
   trace.duration = 100.0;
   trace.initial_sessions = 1;
   trace.events = {{1.0, Kind::kLeave, 0}, {2.0, Kind::kLeave, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 1 (t=2, session 0): duplicate leave");
+  // Of a joined session too, here with the largest id.
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  trace.events = {{1.0, Kind::kJoin, kTop},
+                  {2.0, Kind::kLeave, kTop},
+                  {3.0, Kind::kLeave, kTop}};
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 2 (t=3, session 18446744073709551615): "
+            "duplicate leave");
 }
 
 TEST(ChurnTrace, RejectsSessionIdReuse) {
@@ -99,17 +132,23 @@ TEST(ChurnTrace, RejectsSessionIdReuse) {
   trace.duration = 100.0;
   trace.events = {{1.0, Kind::kJoin, 5},
                   {2.0, Kind::kLeave, 5},
-                  {3.0, Kind::kJoin, 5}};  // one id = one session
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+                  {3.25, Kind::kJoin, 5}};  // one id = one session
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 2 (t=3.25, session 5): session id reused "
+            "after its leave");
 }
 
 TEST(ChurnTrace, RejectsEventsOutsideDuration) {
   ChurnTrace trace;
   trace.duration = 100.0;
   trace.events = {{100.5, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
-  trace.events = {{-0.5, Kind::kJoin, 0}};
-  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 0 (t=100.5, session 0): time outside "
+            "[0, duration]");
+  trace.events = {{-0.5, Kind::kJoin, 9}};
+  EXPECT_EQ(validation_error(trace),
+            "ChurnTrace: event 0 (t=-0.5, session 9): time outside "
+            "[0, duration]");
 }
 
 TEST(ChurnTrace, SizeTrajectoryFollowsEvents) {
