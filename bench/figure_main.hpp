@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 
 #include "p2pse/harness/figures.hpp"
@@ -37,6 +38,12 @@ inline FigureParams figure_params_from_args(const support::Args& args,
                                             FigureParams defaults) {
   FigureParams params = defaults;
   params.nodes = args.get_uint("nodes", params.nodes);
+  // An overlay of 0 or 1 nodes has no links to walk or gossip over; the
+  // estimators would still print a plausible-looking series for it.
+  if (params.nodes < 2) {
+    throw std::invalid_argument("--nodes must be at least 2 (got " +
+                                std::to_string(params.nodes) + ")");
+  }
   params.seed = args.get_uint("seed", params.seed);
   params.estimations = args.get_uint("estimations", params.estimations);
   params.replicas = args.get_uint("replicas", params.replicas);

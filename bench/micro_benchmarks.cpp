@@ -44,7 +44,7 @@ void BM_BuildHeterogeneous(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_BuildHeterogeneous)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BuildHeterogeneous)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_BuildBarabasiAlbert(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -19,6 +19,49 @@ void validate_degree_bounds(std::size_t nodes, std::size_t min_degree,
   }
 }
 
+/// Speculative lookahead over the wiring pass's draws. Each candidate is a
+/// chain of dependent misses (its degree and liveness slots, its extent,
+/// then its adjacency chunk), so two copies of the caller's stream run a
+/// fixed number of draws ahead of it and prefetch in two stages: the far
+/// copy the candidate's per-node lines, the near copy — whose extent line
+/// the far copy already fetched — its adjacency chunk. Both copies step
+/// once per real draw, target or candidate alike: xoshiro's bounded draw
+/// takes one engine step except on a ~bound/2^64 rejection, so the copy's
+/// k-th draw over [0, nodes) is the real stream's k-th candidate whenever
+/// that draw is a candidate pick. The copies are hints only; the caller's
+/// stream, every accept/reject decision and the adjacency order are those
+/// of the plain loop (the equivalence test in builders_test.cpp pins it).
+class WiringLookahead {
+ public:
+  static constexpr int kFarAhead = 16;
+  static constexpr int kNearAhead = 4;
+
+  WiringLookahead(const Graph& graph, const support::RngStream& rng,
+                  std::uint64_t nodes)
+      : graph_(graph), far_(rng), near_(rng), nodes_(nodes) {
+    for (int i = 0; i < kFarAhead; ++i) graph_.prefetch_wiring(draw(far_));
+    for (int i = 0; i < kNearAhead; ++i) graph_.prefetch_adjacency(draw(near_));
+  }
+
+  /// Call once per draw the real stream makes.
+  void step() {
+    graph_.prefetch_wiring(draw(far_));
+    graph_.prefetch_adjacency(draw(near_));
+  }
+
+ private:
+  NodeId draw(support::RngStream& copy) {
+    return static_cast<NodeId>(copy.uniform_u64(nodes_));
+  }
+
+  const Graph& graph_;
+  support::RngStream far_;
+  support::RngStream near_;
+  std::uint64_t nodes_;
+};
+
+constexpr NodeId kNextNodeAhead = 2;
+
 Graph build_capped_random(std::size_t nodes, std::size_t min_degree,
                           std::size_t max_degree, support::RngStream& rng) {
   validate_degree_bounds(nodes, min_degree, max_degree);
@@ -30,16 +73,24 @@ Graph build_capped_random(std::size_t nodes, std::size_t min_degree,
   // is already saturated (degree == max) or already a neighbor; a bounded
   // retry budget avoids spinning near the end of the pass when almost all
   // nodes are saturated.
+  WiringLookahead lookahead(graph, rng, nodes);
+  // uniform_int(lo, lo) returns lo without drawing.
+  const bool target_draws = min_degree < max_degree;
   for (NodeId u = 0; u < nodes; ++u) {
+    // Nodes are wired in id order, but the chunk an earlier node's link
+    // gave u sits anywhere in the arena: fetch it a couple of nodes early.
+    graph.prefetch_adjacency(u + kNextNodeAhead);
     const auto target = static_cast<std::size_t>(rng.uniform_int(
         static_cast<std::int64_t>(min_degree),
         static_cast<std::int64_t>(max_degree)));
+    if (target_draws) lookahead.step();
     std::size_t attempts = 0;
     const std::size_t attempt_budget = 64 * max_degree + 64;
     while (graph.degree(u) < target && attempts < attempt_budget) {
       ++attempts;
       const NodeId v =
           static_cast<NodeId>(rng.uniform_u64(static_cast<std::uint64_t>(nodes)));
+      lookahead.step();
       if (v == u || graph.degree(v) >= max_degree) continue;
       graph.add_edge(u, v);  // rejects duplicates internally
     }

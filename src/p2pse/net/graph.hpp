@@ -195,6 +195,26 @@ class Graph {
     __builtin_prefetch(&extents_[id], 0);
   }
 
+  /// The overlay builder's far hint: every per-node line add_edge(u, id)
+  /// touches — degree and extent (both written by the append) plus the
+  /// liveness slot. Kept apart from prefetch_node on purpose: the walk
+  /// kernels call that one on every step and never read alive_pos_, so a
+  /// third prefetch there costs them throughput.
+  void prefetch_wiring(NodeId id) const noexcept {
+    if (id >= degree_.size()) return;
+    __builtin_prefetch(&degree_[id], 1);
+    __builtin_prefetch(&extents_[id], 1);
+    __builtin_prefetch(&alive_pos_[id], 0);
+  }
+
+  /// The overlay builder's near hint: the head of id's adjacency chunk,
+  /// which add_edge scans for duplicates and appends to. Reads id's extent,
+  /// so call it only once prefetch_wiring(id) has had time to land.
+  void prefetch_adjacency(NodeId id) const noexcept {
+    if (id >= extents_.size()) return;
+    __builtin_prefetch(arena_.data() + extents_[id].offset, 1);
+  }
+
   /// Average degree over alive nodes (0 for an empty graph).
   [[nodiscard]] double average_degree() const noexcept;
 

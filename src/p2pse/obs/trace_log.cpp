@@ -1,5 +1,8 @@
 #include "p2pse/obs/trace_log.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "p2pse/obs/stats_writer.hpp"
 
 namespace p2pse::obs {
@@ -52,10 +55,46 @@ void TraceLog::record(const std::string& name, int tid, std::uint64_t ts_us,
 }
 
 std::map<std::string, double> TraceLog::phase_totals() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<Record> spans;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    spans = records_;
+  }
+  // Per lane, in start order with the longer span first on a tie, so every
+  // span comes after the spans that enclose it. A span's self time is its
+  // duration minus the union of its direct children: concurrent spans on
+  // one lane (the sim-shard-* workers) may overlap, and time two children
+  // share is taken out once.
+  std::sort(spans.begin(), spans.end(), [](const Record& a, const Record& b) {
+    return std::tie(a.tid, a.ts_us, b.dur_us) <
+           std::tie(b.tid, b.ts_us, a.dur_us);
+  });
+  struct Open {
+    std::size_t index;
+    std::uint64_t end_us;
+    std::uint64_t covered_until_us;  // children's union so far ends here
+  };
+  std::vector<std::uint64_t> self_us(spans.size());
+  std::vector<Open> open;  // the enclosing chain, innermost last
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Record& span = spans[i];
+    const std::uint64_t end_us = span.ts_us + span.dur_us;
+    while (!open.empty() && (spans[open.back().index].tid != span.tid ||
+                             end_us > open.back().end_us)) {
+      open.pop_back();
+    }
+    if (!open.empty()) {
+      Open& parent = open.back();
+      const std::uint64_t from = std::max(span.ts_us, parent.covered_until_us);
+      if (end_us > from) self_us[parent.index] -= end_us - from;
+      parent.covered_until_us = std::max(parent.covered_until_us, end_us);
+    }
+    self_us[i] = span.dur_us;
+    open.push_back(Open{i, end_us, span.ts_us});
+  }
   std::map<std::string, double> totals;
-  for (const Record& record : records_) {
-    totals[record.name] += static_cast<double>(record.dur_us) / 1e6;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    totals[spans[i].name] += static_cast<double>(self_us[i]) / 1e6;
   }
   return totals;
 }

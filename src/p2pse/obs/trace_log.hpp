@@ -60,8 +60,11 @@ class TraceLog {
   void record(const std::string& name, int tid, std::uint64_t ts_us,
               std::uint64_t dur_us);
 
-  /// Total seconds spent per span name (summed over all spans with that
-  /// name) — the `host.phases` section of the run summary.
+  /// Exclusive seconds per span name — the `host.phases_s` section of the
+  /// run summary. Each span counts its duration minus the time covered by
+  /// the spans nested inside it on the same `tid` lane (a replica's
+  /// `simulate` excludes the `graph-build` it opens), summed over all
+  /// spans with that name.
   [[nodiscard]] std::map<std::string, double> phase_totals() const;
 
   [[nodiscard]] std::size_t size() const;

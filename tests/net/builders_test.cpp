@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "p2pse/net/analysis.hpp"
@@ -75,6 +77,82 @@ TEST(HomogeneousBuilder, Connected) {
   support::RngStream rng(7);
   const Graph g = build_homogeneous_random({10000, 7}, rng);
   EXPECT_GT(largest_component_fraction(g), 0.999);
+}
+
+// The capped-random wiring pass as it stood before the lookahead prefetch,
+// kept verbatim: the builder's speculative stream copies must never change
+// the caller's draws, any accept/reject decision, or the adjacency order.
+Graph reference_capped_random(std::size_t nodes, std::size_t min_degree,
+                              std::size_t max_degree,
+                              support::RngStream& rng) {
+  Graph graph(nodes);
+  if (nodes < 2) return graph;
+  for (NodeId u = 0; u < nodes; ++u) {
+    const auto target = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(min_degree),
+        static_cast<std::int64_t>(max_degree)));
+    std::size_t attempts = 0;
+    const std::size_t attempt_budget = 64 * max_degree + 64;
+    while (graph.degree(u) < target && attempts < attempt_budget) {
+      ++attempts;
+      const NodeId v =
+          static_cast<NodeId>(rng.uniform_u64(static_cast<std::uint64_t>(nodes)));
+      if (v == u || graph.degree(v) >= max_degree) continue;
+      graph.add_edge(u, v);  // rejects duplicates internally
+    }
+  }
+  return graph;
+}
+
+void expect_same_overlay(const Graph& actual, const Graph& expected) {
+  ASSERT_EQ(actual.slot_count(), expected.slot_count());
+  EXPECT_EQ(actual.edge_count(), expected.edge_count());
+  for (NodeId id = 0; id < expected.slot_count(); ++id) {
+    const auto got = actual.neighbors(id);
+    const auto want = expected.neighbors(id);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "adjacency of node " << id << " differs";
+  }
+}
+
+TEST(CappedRandomBuilder, LookaheadMatchesPlainWiringLoop) {
+  for (const std::size_t nodes :
+       {std::size_t{2}, std::size_t{3}, std::size_t{11}, std::size_t{1000},
+        std::size_t{100000}}) {
+    const std::size_t max_degree = std::min<std::size_t>(10, nodes - 1);
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE("nodes=" + std::to_string(nodes) +
+                   " seed=" + std::to_string(seed));
+      support::RngStream rng(seed), ref_rng(seed);
+      const Graph g = build_heterogeneous_random({nodes, 1, max_degree}, rng);
+      expect_same_overlay(g, reference_capped_random(nodes, 1, max_degree,
+                                                     ref_rng));
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    }
+  }
+}
+
+TEST(CappedRandomBuilder, HomogeneousLookaheadMatchesPlainWiringLoop) {
+  // min == max: the target draw consumes nothing, so the lookahead must
+  // not step for it either.
+  for (const std::uint64_t seed : {3u, 5u}) {
+    support::RngStream rng(seed), ref_rng(seed);
+    const Graph g = build_homogeneous_random({5000, 4}, rng);
+    expect_same_overlay(g, reference_capped_random(5000, 4, 4, ref_rng));
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+  }
+}
+
+TEST(CappedRandomBuilder, ExhaustedAttemptBudgetMatchesPlainWiringLoop) {
+  // 101 nodes x degree 7 is an odd stub count, so at least one node near
+  // the end of the pass burns its whole attempt budget against saturated
+  // peers.
+  support::RngStream rng(9), ref_rng(9);
+  const Graph g = build_homogeneous_random({101, 7}, rng);
+  const Graph ref = reference_capped_random(101, 7, 7, ref_rng);
+  expect_same_overlay(g, ref);
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+  EXPECT_LT(degree_stats(ref).min, 7u);
 }
 
 TEST(BarabasiAlbertBuilder, BasicShape) {

@@ -59,6 +59,32 @@ TEST(TraceLog, PhaseTotalsSumSpansByName) {
   EXPECT_DOUBLE_EQ(totals.at("merge"), 0.25);
 }
 
+TEST(TraceLog, PhaseTotalsAreExclusiveOfNestedSpans) {
+  TraceLog log;
+  // Lane 1: simulate [0, 2.0 s) opens graph-build [0.1, 0.9 s), which
+  // opens topo-embed [0.5, 0.7 s). Children record first, as RAII spans do.
+  log.record("topo-embed", 1, 500'000, 200'000);
+  log.record("graph-build", 1, 100'000, 800'000);
+  log.record("simulate", 1, 0, 2'000'000);
+  // Lane 2 overlaps lane 1 in time but is never nested in it.
+  log.record("simulate", 2, 50'000, 1'000'000);
+  // Two concurrent shard spans on lane 3 inside one parent: their shared
+  // time [0.2, 0.3 s) comes out of the parent once.
+  log.record("sim-shard-0", 3, 100'000, 200'000);
+  log.record("sim-shard-1", 3, 200'000, 200'000);
+  log.record("build", 3, 0, 500'000);
+  // A sibling that starts as the previous span ends is not its child.
+  log.record("merge", 0, 0, 100'000);
+  log.record("write", 0, 100'000, 50'000);
+  const auto totals = log.phase_totals();
+  EXPECT_DOUBLE_EQ(totals.at("simulate"), 1.2 + 1.0);
+  EXPECT_DOUBLE_EQ(totals.at("graph-build"), 0.6);
+  EXPECT_DOUBLE_EQ(totals.at("topo-embed"), 0.2);
+  EXPECT_DOUBLE_EQ(totals.at("build"), 0.2);
+  EXPECT_DOUBLE_EQ(totals.at("merge"), 0.1);
+  EXPECT_DOUBLE_EQ(totals.at("write"), 0.05);
+}
+
 TEST(TraceLog, WriteEmitsChromeTraceEventJson) {
   TraceLog log;
   log.record("graph-build", 1, 10, 42);
