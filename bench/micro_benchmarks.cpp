@@ -58,10 +58,11 @@ void BM_BuildBarabasiAlbert(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildBarabasiAlbert)->Arg(10000)->Arg(100000);
 
-void BM_SampleCollideWalk(benchmark::State& state) {
+void sample_collide_walk(benchmark::State& state, bool recorder) {
   support::RngStream build_rng(42);
   sim::Simulator sim(net::build_heterogeneous_random({50000, 1, 10}, build_rng),
                      43);
+  if (recorder) sim.enable_recorder();
   support::RngStream rng(44);
   const est::SampleCollide sc({.timer = 10.0, .collisions = 1});
   std::uint64_t steps = 0;
@@ -74,7 +75,18 @@ void BM_SampleCollideWalk(benchmark::State& state) {
   state.counters["steps/walk"] = benchmark::Counter(
       static_cast<double>(steps) / static_cast<double>(state.iterations()));
 }
+
+void BM_SampleCollideWalk(benchmark::State& state) {
+  sample_collide_walk(state, false);
+}
 BENCHMARK(BM_SampleCollideWalk);
+
+void BM_SampleCollideWalkArmed(benchmark::State& state) {
+  // The same walks with the stats recorder armed, as under --stats-json:
+  // every hop leaves the inline ideal-channel path and is recorded.
+  sample_collide_walk(state, true);
+}
+BENCHMARK(BM_SampleCollideWalkArmed);
 
 void BM_SampleCollideEstimate(benchmark::State& state) {
   // One full estimation on the interleaved walk kernel (est/walk_kernel.hpp).

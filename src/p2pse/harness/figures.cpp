@@ -331,7 +331,11 @@ FigureReport dynamic_report(const std::vector<scenario::Series>& replicas,
   return report;
 }
 
-double mean_tracking_error(const std::vector<scenario::Series>& replicas) {
+/// The "mean |estimate-truth|/truth" note of a dynamic figure, then
+/// `suffix`. A run where no replica produced a valid estimate has no mean
+/// error to report, so it reads "n/a" rather than a plausible 0%.
+std::string tracking_error_note(const std::vector<scenario::Series>& replicas,
+                                std::string_view suffix = "") {
   support::RunningStats err;
   for (const auto& series : replicas) {
     for (const auto& point : series) {
@@ -340,7 +344,9 @@ double mean_tracking_error(const std::vector<scenario::Series>& replicas) {
       }
     }
   }
-  return err.mean();
+  const std::string value =
+      err.count() == 0 ? "n/a" : format_double(100.0 * err.mean(), 3) + "%";
+  return "mean |estimate-truth|/truth: " + value + std::string(suffix);
 }
 
 double mean_messages(const std::vector<scenario::Series>& replicas) {
@@ -825,9 +831,8 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
                     " replicas=" + std::to_string(params.replicas) +
                     " seed=" + std::to_string(params.seed);
     report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) +
-            "% (paper: reacts well even to brutal changes)",
+        tracking_error_note(replicas,
+                            " (paper: reacts well even to brutal changes)"),
     };
   } else if (name == "hops_sampling") {
     const auto& hs = dynamic_cast<const est::HopsSamplingEstimator&>(proto);
@@ -843,10 +848,9 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
                     " replicas=" + std::to_string(params.replicas) +
                     " seed=" + std::to_string(params.seed);
     report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) +
-            "% (paper: good behaviour, slight under-estimation, more variance "
-            "than Sample&Collide)",
+        tracking_error_note(replicas,
+                            " (paper: good behaviour, slight under-estimation, "
+                            "more variance than Sample&Collide)"),
     };
   } else if (name == "aggregation") {
     const auto& agg = dynamic_cast<const est::AggregationEstimator&>(proto);
@@ -861,8 +865,7 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
                     " replicas=" + std::to_string(params.replicas) +
                     " seed=" + std::to_string(params.seed);
     report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) + "%",
+        tracking_error_note(replicas),
         "paper: adapts to growth; under heavy departures the overlay loses "
         "connectivity and estimates degrade (threshold ~30% departures)",
     };
@@ -882,8 +885,7 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
         " replicas=" + std::to_string(replica_count) +
         " seed=" + std::to_string(params.seed);
     report.notes = {
-        "mean |estimate-truth|/truth: " +
-            format_double(100.0 * mean_tracking_error(replicas), 3) + "%",
+        tracking_error_note(replicas),
         "mean messages per estimate: " +
             human_count(mean_messages(replicas)),
     };

@@ -130,7 +130,7 @@ class Channel {
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
   /// Installs the distribution recorder (sim::RunRecorder): per-class delay
-  /// histograms and per-node sent/received tallies, recorded once per
+  /// histograms and per-node message/byte tallies, recorded once per
   /// logical send. Non-owning — the Simulator owns the recorder and
   /// re-installs it across set_network. Null (the default) disables
   /// recording at the cost of one branch per send.

@@ -36,27 +36,71 @@ RunRecorder::RunRecorder() : walk_hops_(walk_hop_bounds()) {
        ++i) {
     delay_.emplace_back(delay_bounds());
   }
+  pending_.reserve(kPendingCapacity);
 }
 
-std::uint64_t RunRecorder::max_node_messages() const noexcept {
-  std::uint64_t out = 0;
-  for (const NodeLoad& load : loads_) out = std::max(out, load.messages());
+void RunRecorder::flush() const {
+  if (pending_.empty()) return;
+  net::NodeId top = 0;
+  for (const Pending& p : pending_) top = std::max(top, p.node);
+  nodes_ = std::max(nodes_, std::size_t{top} + 1);
+  while (pages_.size() * kPageNodes < nodes_) {
+    pages_.push_back(std::make_unique<NodeLoad[]>(kPageNodes));
+  }
+  // Each entry is a likely miss in a table spanning every id the run
+  // handed out; hinting a few entries ahead overlaps those misses.
+  constexpr std::size_t kAhead = 16;
+  const std::size_t count = pending_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kAhead < count) {
+      __builtin_prefetch(&load(pending_[i + kAhead].node), 1);
+    }
+    NodeLoad& tally = load(pending_[i].node);
+    tally.messages += pending_[i].messages;
+    tally.bytes += pending_[i].bytes;
+  }
+  pending_.clear();
+}
+
+std::vector<RunRecorder::NodeLoad> RunRecorder::node_loads() const {
+  flush();
+  std::vector<NodeLoad> out(nodes_);
+  for (std::size_t id = 0; id < nodes_; ++id) {
+    out[id] = load(static_cast<net::NodeId>(id));
+  }
   return out;
 }
 
-std::uint64_t RunRecorder::max_node_bytes() const noexcept {
+std::uint64_t RunRecorder::max_node_messages() const {
+  flush();
   std::uint64_t out = 0;
-  for (const NodeLoad& load : loads_) out = std::max(out, load.bytes());
+  for (const auto& page : pages_) {
+    for (std::size_t i = 0; i < kPageNodes; ++i) {
+      out = std::max(out, page[i].messages);
+    }
+  }
+  return out;
+}
+
+std::uint64_t RunRecorder::max_node_bytes() const {
+  flush();
+  std::uint64_t out = 0;
+  for (const auto& page : pages_) {
+    for (std::size_t i = 0; i < kPageNodes; ++i) {
+      out = std::max(out, page[i].bytes);
+    }
+  }
   return out;
 }
 
 void RunRecorder::fill_load_histograms(const net::Graph& graph,
                                        support::FixedHistogram& messages,
                                        support::FixedHistogram& bytes) const {
+  flush();
   for (const net::NodeId id : graph.alive_nodes()) {
-    const NodeLoad load = id < loads_.size() ? loads_[id] : NodeLoad{};
-    messages.observe(static_cast<double>(load.messages()));
-    bytes.observe(static_cast<double>(load.bytes()));
+    const NodeLoad tally = id < nodes_ ? load(id) : NodeLoad{};
+    messages.observe(static_cast<double>(tally.messages));
+    bytes.observe(static_cast<double>(tally.bytes));
   }
 }
 

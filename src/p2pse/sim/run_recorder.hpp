@@ -11,7 +11,9 @@
 // (FixedHistogram, u64 loads), so replica merges commute and the exported
 // distributions are invariant under --threads / --sim-threads.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "p2pse/net/graph.hpp"
@@ -31,22 +33,22 @@ namespace p2pse::sim {
 
 class RunRecorder {
  public:
-  /// Per-node traffic tally. "sent" counts every transmission leaving the
-  /// node (retransmissions included — they all cross its access link);
-  /// "recv" counts logical messages that actually arrived.
+  /// Per-node traffic tally: every transmission leaving the node
+  /// (retransmissions included — they all cross its access link) plus
+  /// every logical message that actually arrived at it.
   struct NodeLoad {
-    std::uint64_t sent_msgs = 0;
-    std::uint64_t sent_bytes = 0;
-    std::uint64_t recv_msgs = 0;
-    std::uint64_t recv_bytes = 0;
-
-    [[nodiscard]] std::uint64_t messages() const noexcept {
-      return sent_msgs + recv_msgs;
-    }
-    [[nodiscard]] std::uint64_t bytes() const noexcept {
-      return sent_bytes + recv_bytes;
-    }
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
   };
+
+  /// Sends and deliveries append to a pending buffer of this many entries
+  /// (16 B each, so it stays L2-resident); a full buffer, or any read of
+  /// the tallies, folds it into the per-node table in one tight loop.
+  static constexpr std::size_t kPendingCapacity = 4096;
+  /// The per-node table is allocated in pages of this many nodes (64 KiB),
+  /// added as ids grow: trace churn keeps handing out fresh ids, and a
+  /// page table grows without copying what it already holds.
+  static constexpr std::size_t kPageNodes = 4096;
 
   RunRecorder();
 
@@ -56,15 +58,8 @@ class RunRecorder {
   void on_send(net::NodeId from, std::uint32_t transmissions,
                std::uint64_t wire_size) {
     if (from == net::kInvalidNode) return;
-    NodeLoad& load = touch(from);
-    load.sent_msgs += transmissions;
-    load.sent_bytes += static_cast<std::uint64_t>(transmissions) * wire_size;
-  }
-
-  /// Hints the prefetcher at the node's tally, if it has one; a send from
-  /// or to the node writes it.
-  void prefetch(net::NodeId id) const noexcept {
-    if (id < loads_.size()) __builtin_prefetch(&loads_[id], 1);
+    defer(from, transmissions,
+          static_cast<std::uint64_t>(transmissions) * wire_size);
   }
 
   /// One delivered logical message: `to` received the final (successful)
@@ -73,9 +68,7 @@ class RunRecorder {
                     std::uint64_t wire_size) {
     delay_[static_cast<std::size_t>(cls)].observe(delay);
     if (to == net::kInvalidNode) return;
-    NodeLoad& load = touch(to);
-    load.recv_msgs += 1;
-    load.recv_bytes += wire_size;
+    defer(to, 1, wire_size);
   }
 
   /// One completed random walk of `hops` delivered hops (Sample&Collide,
@@ -98,13 +91,11 @@ class RunRecorder {
     return walk_hop_total_;
   }
 
-  /// The per-node tallies recorded so far (indexed by NodeId; nodes beyond
-  /// the vector never handled a message).
-  [[nodiscard]] const std::vector<NodeLoad>& node_loads() const noexcept {
-    return loads_;
-  }
-  [[nodiscard]] std::uint64_t max_node_messages() const noexcept;
-  [[nodiscard]] std::uint64_t max_node_bytes() const noexcept;
+  /// A copy of the per-node tallies recorded so far (indexed by NodeId;
+  /// nodes beyond the vector never handled a message).
+  [[nodiscard]] std::vector<NodeLoad> node_loads() const;
+  [[nodiscard]] std::uint64_t max_node_messages() const;
+  [[nodiscard]] std::uint64_t max_node_bytes() const;
 
   /// Observes every alive node's total load into the two histograms
   /// (zero-load alive nodes included: they ARE the load-balance story).
@@ -112,21 +103,43 @@ class RunRecorder {
                             support::FixedHistogram& messages,
                             support::FixedHistogram& bytes) const;
 
-  /// Clears the per-node tallies only (table1 reuses one simulator across
-  /// algorithm blocks and reports a per-block max load). Histograms keep
-  /// accumulating.
-  void reset_node_loads() noexcept { loads_.clear(); }
+  /// Clears the per-node tallies, pending entries included (table1 reuses
+  /// one simulator across algorithm blocks and reports a per-block max
+  /// load). Histograms keep accumulating.
+  void reset_node_loads() noexcept {
+    pending_.clear();
+    pages_.clear();
+    nodes_ = 0;
+  }
 
  private:
-  [[nodiscard]] NodeLoad& touch(net::NodeId id) {
-    if (id >= loads_.size()) loads_.resize(id + 1);
-    return loads_[id];
+  struct Pending {
+    net::NodeId node;
+    std::uint32_t messages;
+    std::uint64_t bytes;
+  };
+
+  void defer(net::NodeId id, std::uint32_t messages, std::uint64_t bytes) {
+    pending_.push_back({id, messages, bytes});
+    if (pending_.size() == kPendingCapacity) flush();
+  }
+
+  /// Folds the pending entries into the page table. Integer sums commute,
+  /// so the tallies equal an eager per-send update. Const because every
+  /// reader drains first; pending entries and pages are one logical state.
+  void flush() const;
+
+  /// The tally of node `id`; `id` must be below nodes_.
+  [[nodiscard]] NodeLoad& load(net::NodeId id) const noexcept {
+    return pages_[id / kPageNodes][id % kPageNodes];
   }
 
   std::vector<support::FixedHistogram> delay_;  // one per MessageClass
   support::FixedHistogram walk_hops_;
   std::uint64_t walk_hop_total_ = 0;
-  std::vector<NodeLoad> loads_;
+  mutable std::vector<std::unique_ptr<NodeLoad[]>> pages_;
+  mutable std::size_t nodes_ = 0;  // one past the highest tallied id
+  mutable std::vector<Pending> pending_;  // capacity kPendingCapacity
 };
 
 }  // namespace p2pse::sim

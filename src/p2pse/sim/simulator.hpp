@@ -160,12 +160,12 @@ class Simulator {
     return channel_.send_reliable(meter_, cls, from, to);
   }
 
-  /// Hints the prefetcher at the per-node lines a send from or to `id`
-  /// touches beyond the graph: its topology embedding and its recorder
-  /// tally, for whichever of the two is installed. Changes nothing.
+  /// Hints the prefetcher at the per-node line a send from or to `id`
+  /// touches beyond the graph: its topology embedding, if one is
+  /// installed. (The recorder defers its per-node tallies, so a send
+  /// touches no recorder line at random.) Changes nothing.
   void prefetch_endpoint(net::NodeId id) const noexcept {
     if (topology_) topology_->prefetch(id);
-    if (recorder_) recorder_->prefetch(id);
   }
 
   [[nodiscard]] Time now() const noexcept { return now_; }

@@ -14,13 +14,6 @@ FixedHistogram::FixedHistogram(std::vector<double> upper_bounds)
   }
 }
 
-void FixedHistogram::observe(double value) noexcept {
-  std::size_t bucket = 0;
-  while (bucket < bounds_.size() && value > bounds_[bucket]) ++bucket;
-  ++buckets_[bucket];
-  ++count_;
-}
-
 FixedHistogram& FixedHistogram::operator+=(const FixedHistogram& other) {
   if (other.bounds_.empty() && other.count_ == 0) return *this;
   if (bounds_.empty() && count_ == 0) {

@@ -8,10 +8,12 @@
 //
 // `bounds` are ascending upper edges; an observation lands in the first
 // bucket whose bound is >= the value, or in the overflow bucket past the
-// last edge. Two histograms merge only when their bounds match exactly —
-// the canonical bounds are compile-time constants (sim/run_recorder.hpp),
-// so a mismatch is a programming error, reported loudly.
+// last edge. NaN compares greater than no edge, so it lands in bucket 0.
+// Two histograms merge only when their bounds match exactly — the
+// canonical bounds are compile-time constants (sim/run_recorder.hpp), so a
+// mismatch is a programming error, reported loudly.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +28,21 @@ class FixedHistogram {
   /// `upper_bounds` must be strictly ascending (throws otherwise).
   explicit FixedHistogram(std::vector<double> upper_bounds);
 
-  void observe(double value) noexcept;
+  /// With strictly ascending bounds, the number of edges below the value
+  /// is the index of the first edge >= it, so the count needs no
+  /// data-dependent branch. A value at or below the first edge (every
+  /// delay of an ideal channel) skips the count on one test, which is
+  /// well predicted because a run's values mostly fall on one side of it.
+  void observe(double value) noexcept {
+    std::size_t bucket = 0;
+    if (!bounds_.empty() && value > bounds_.front()) {
+      for (const double bound : bounds_) {
+        bucket += static_cast<std::size_t>(value > bound);
+      }
+    }
+    ++buckets_[bucket];
+    ++count_;
+  }
 
   /// Elementwise bucket/count addition. Commutative and associative, so
   /// merged totals are invariant under replica completion order. Throws

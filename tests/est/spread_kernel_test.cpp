@@ -210,8 +210,7 @@ class Rig {
                    cc.arq_timeouts};
     if (const sim::RunRecorder* recorder = sim_.recorder()) {
       for (const sim::RunRecorder::NodeLoad& load : recorder->node_loads()) {
-        out.loads.insert(out.loads.end(), {load.sent_msgs, load.sent_bytes,
-                                           load.recv_msgs, load.recv_bytes});
+        out.loads.insert(out.loads.end(), {load.messages, load.bytes});
       }
     }
     out.sim_json = obs::sim_section("spread_kernel", "", obs::collect(sim_));

@@ -296,8 +296,8 @@ TEST(WalkKernel, ConsecutiveEstimationsDrawDifferentWalks) {
   ASSERT_FALSE(first.empty());
   bool differ = first.size() != second.size();
   for (std::size_t i = 0; !differ && i < first.size(); ++i) {
-    differ = first[i].sent_msgs != second[i].sent_msgs ||
-             first[i].recv_msgs != second[i].recv_msgs;
+    differ = first[i].messages != second[i].messages ||
+             first[i].bytes != second[i].bytes;
   }
   EXPECT_TRUE(differ);
 }

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "p2pse/est/registry.hpp"
 #include "p2pse/scenario/scenarios.hpp"
@@ -50,6 +52,38 @@ TEST(Matrix, EveryEstimatorCrossesEveryScenario) {
                 std::string::npos);
     }
   }
+}
+
+std::string tracking_error_note(const FigureReport& report) {
+  for (const std::string& note : report.notes) {
+    if (note.starts_with("mean |estimate-truth|/truth: ")) return note;
+  }
+  return "";
+}
+
+TEST(Matrix, ZeroValidEstimatesReportTheErrorAsNotAvailable) {
+  // A run with no valid estimate has no error to average: the note must
+  // say so instead of printing a plausible 0%. One spec per report branch
+  // (S&C, HS, Aggregation, generic).
+  const std::vector<std::string> estimators = {
+      "sample_collide", "hops_sampling", "aggregation", "random_tour"};
+  for (const std::string& estimator : estimators) {
+    SCOPED_TRACE(estimator);
+    MatrixOptions options = small_matrix(estimator, "static");
+    options.params.estimations = 0;
+    options.rounds_per_unit = 0.01;  // 10 rounds: no 50-round epoch ends
+    const std::string note = tracking_error_note(run_matrix(options));
+    EXPECT_TRUE(note.starts_with("mean |estimate-truth|/truth: n/a")) << note;
+    EXPECT_EQ(note.find('%'), std::string::npos) << note;
+  }
+}
+
+TEST(Matrix, ValidEstimatesReportTheErrorAsAPercentage) {
+  const std::string note =
+      tracking_error_note(run_matrix(small_matrix("random_tour", "static")));
+  EXPECT_TRUE(note.starts_with("mean |estimate-truth|/truth: ")) << note;
+  EXPECT_EQ(note.find("n/a"), std::string::npos) << note;
+  EXPECT_TRUE(note.ends_with("%")) << note;
 }
 
 TEST(Matrix, PointEstimatorEmitsOnePointPerEstimation) {
