@@ -126,6 +126,30 @@ void BM_AggregationRound(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregationRound)->Arg(10000)->Arg(100000);
 
+void BM_AggregationRoundShrunk(benchmark::State& state) {
+  // The agg_shrinking_100k e2e path: a quarter of the overlay leaves at
+  // random first, so the alive order is scrambled and a round's node and
+  // value accesses jump around (BM_AggregationRound sweeps the unchurned,
+  // id-ordered overlay).
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  support::RngStream build_rng(42);
+  sim::Simulator sim(net::build_heterogeneous_random({nodes, 1, 10}, build_rng),
+                     43);
+  support::RngStream churn_rng(45);
+  for (std::size_t k = 0; k < nodes / 4; ++k) {
+    sim.graph().remove_node(sim.graph().random_alive(churn_rng));
+  }
+  support::RngStream rng(44);
+  est::Aggregation agg({.rounds_per_epoch = 50});
+  agg.start_epoch(sim, sim.graph().alive_nodes()[0]);
+  for (auto _ : state) {
+    agg.run_round(sim, rng);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sim.graph().size()));
+}
+BENCHMARK(BM_AggregationRoundShrunk)->Arg(100000);
+
 void BM_HopsSamplingPoll(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   support::RngStream build_rng(42);

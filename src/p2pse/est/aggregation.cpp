@@ -2,11 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "p2pse/support/stats.hpp"
 
 namespace p2pse::est {
+namespace {
+
+/// Prefetch distances of a round. The pick phase hints a node's degree and
+/// extent lines kNodeAhead nodes ahead; the exchange phase hints both
+/// endpoints' values kValueAhead exchanges ahead. Churn scrambles the
+/// alive order, so each of those lines is a likely miss.
+constexpr std::size_t kNodeAhead = 16;
+constexpr std::size_t kValueAhead = 8;
+
+}  // namespace
+
+void draw_round_peers(const net::Graph& graph, support::RngStream& rng,
+                      std::vector<net::NodeId>& peers) {
+  const std::span<const net::NodeId> alive = graph.alive_nodes();
+  peers.resize(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (i + kNodeAhead < alive.size()) {
+      graph.prefetch_node(alive[i + kNodeAhead]);
+    }
+    // Alive nodes only, so degree() alone gives the list's length.
+    const net::NodeId id = alive[i];
+    const std::size_t degree = graph.degree(id);
+    peers[i] = degree == 0
+                   ? net::kInvalidNode
+                   : *graph.neighbor_slot(
+                         id, static_cast<std::size_t>(rng.uniform_u64(degree)));
+  }
+}
 
 Aggregation::Aggregation(AggregationConfig config) : config_(config) {
   if (config_.rounds_per_epoch == 0) {
@@ -39,11 +68,23 @@ void Aggregation::run_round(sim::Simulator& sim, support::RngStream& rng) {
   // pull means the initiator cannot confirm, so the peer's tentative update
   // is rolled back — either way the exchange is masked out of the round and
   // mass is conserved.
+  //
+  // Phase 1 draws every node's peer; phase 2 runs the exchanges strictly
+  // in alive order, the order every draw, send and floating-point update
+  // of a report depends on.
+  draw_round_peers(graph, rng, peers_);
+  const std::span<const net::NodeId> alive = graph.alive_nodes();
   double round_max = 0.0;
   bool masked = false;
-  for (const net::NodeId id : graph.alive_nodes()) {
-    const net::NodeId peer = graph.random_neighbor(id, rng);
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (i + kValueAhead < alive.size()) {
+      __builtin_prefetch(&values_[alive[i + kValueAhead]], 1);
+      const net::NodeId ahead = peers_[i + kValueAhead];
+      if (ahead != net::kInvalidNode) __builtin_prefetch(&values_[ahead], 1);
+    }
+    const net::NodeId peer = peers_[i];
     if (peer == net::kInvalidNode) continue;  // isolated node: nothing to do
+    const net::NodeId id = alive[i];
     const sim::Channel::Delivery push =
         sim.send(sim::MessageClass::kAggregationPush, id, peer);
     if (!push.delivered) {

@@ -24,6 +24,16 @@
 
 namespace p2pse::est {
 
+/// Draws one synchronous round's peers into `peers`, one per alive node in
+/// graph.alive_nodes() order: a uniformly random neighbor, or kInvalidNode
+/// for a degree-0 node (which draws nothing). The draws are exactly those
+/// of graph.random_neighbor(id, rng) called over alive_nodes() in turn, so
+/// a round may draw every pick before its first send: picks come from
+/// `rng` alone, the channel draws from its own stream, and a round never
+/// changes the graph. Shared by Aggregation and MultiAggregation.
+void draw_round_peers(const net::Graph& graph, support::RngStream& rng,
+                      std::vector<net::NodeId>& peers);
+
 struct AggregationConfig {
   std::uint32_t rounds_per_epoch = 50;  ///< paper: 40 suffice at 1e5, 50 at 1e6
   bool push_pull = true;  ///< false = push-only averaging (ablation)
@@ -79,6 +89,8 @@ class Aggregation {
 
   AggregationConfig config_;
   std::vector<double> values_;
+  /// The current round's peers (draw_round_peers), reused across rounds.
+  std::vector<net::NodeId> peers_;
   std::uint64_t epoch_ = 0;
   double epoch_delay_ = 0.0;
   net::NodeId initiator_ = net::kInvalidNode;

@@ -2,9 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
+#include "p2pse/est/aggregation.hpp"
+
 namespace p2pse::est {
+namespace {
+
+/// The exchange phase hints both endpoints' values in every instance this
+/// many exchanges ahead (the distance Aggregation's round uses).
+constexpr std::size_t kValueAhead = 8;
+
+}  // namespace
 
 MultiAggregation::MultiAggregation(MultiAggregationConfig config)
     : config_(config) {
@@ -42,11 +52,26 @@ void MultiAggregation::run_round(sim::Simulator& sim,
                                  support::RngStream& rng) {
   net::Graph& graph = sim.graph();
   ensure_capacity(graph.slot_count());
+  // Two phases, as in Aggregation::run_round: every pick first, then the
+  // exchanges strictly in pick order.
+  draw_round_peers(graph, rng, peers_);
+  const std::span<const net::NodeId> alive = graph.alive_nodes();
   double round_max = 0.0;
   bool masked = false;
-  for (const net::NodeId id : graph.alive_nodes()) {
-    const net::NodeId peer = graph.random_neighbor(id, rng);
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (i + kValueAhead < alive.size()) {
+      const net::NodeId id_ahead = alive[i + kValueAhead];
+      const net::NodeId peer_ahead = peers_[i + kValueAhead];
+      for (const auto& v : values_) {
+        __builtin_prefetch(&v[id_ahead], 1);
+        if (peer_ahead != net::kInvalidNode) {
+          __builtin_prefetch(&v[peer_ahead], 1);
+        }
+      }
+    }
+    const net::NodeId peer = peers_[i];
     if (peer == net::kInvalidNode) continue;
+    const net::NodeId id = alive[i];
     // All instances piggyback on one push-pull exchange: 2 messages total.
     // A dropped push or pull masks the whole exchange for every instance
     // (ack-gated commit, as in the single-instance Aggregation) — mass is

@@ -64,6 +64,8 @@ class MultiAggregation {
   MultiAggregationConfig config_;
   /// values_[i] is instance i's value vector, indexed by node slot.
   std::vector<std::vector<double>> values_;
+  /// The current round's peers (draw_round_peers), reused across rounds.
+  std::vector<net::NodeId> peers_;
   double epoch_delay_ = 0.0;
 };
 

@@ -349,24 +349,19 @@ std::string tracking_error_note(const std::vector<scenario::Series>& replicas,
   return "mean |estimate-truth|/truth: " + value + std::string(suffix);
 }
 
-double mean_messages(const std::vector<scenario::Series>& replicas) {
-  support::RunningStats msgs;
+/// Mean of `field` over every valid point of every replica, rendered by
+/// `render`. Like tracking_error_note, a run with no valid point reads
+/// "n/a" rather than a plausible 0.
+template <typename Field, typename Render>
+std::string valid_mean(const std::vector<scenario::Series>& replicas,
+                       Field field, Render render) {
+  support::RunningStats stats;
   for (const auto& series : replicas) {
     for (const auto& point : series) {
-      if (point.valid) msgs.add(static_cast<double>(point.messages));
+      if (point.valid) stats.add(field(point));
     }
   }
-  return msgs.mean();
-}
-
-double mean_delay(const std::vector<scenario::Series>& replicas) {
-  support::RunningStats delay;
-  for (const auto& series : replicas) {
-    for (const auto& point : series) {
-      if (point.valid) delay.add(point.delay);
-    }
-  }
-  return delay.mean();
+  return stats.count() == 0 ? "n/a" : render(stats.mean());
 }
 
 /// Records the per-replica (time, truth, estimate, messages) series for
@@ -887,7 +882,12 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
     report.notes = {
         tracking_error_note(replicas),
         "mean messages per estimate: " +
-            human_count(mean_messages(replicas)),
+            valid_mean(
+                replicas,
+                [](const auto& point) {
+                  return static_cast<double>(point.messages);
+                },
+                human_count),
     };
   }
   report.params +=
@@ -896,7 +896,9 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
   if (!net.ideal() || !topology.flat()) {
     report.notes.push_back(
         "mean measured delay per estimate: " +
-        format_double(mean_delay(replicas), 4) +
+        valid_mean(
+            replicas, [](const auto& point) { return point.delay; },
+            [](double mean) { return format_double(mean, 4); }) +
         " (latency units; wall-clock through the delivery channel)");
   }
   attach_raw_series(report, replicas);

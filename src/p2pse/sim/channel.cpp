@@ -279,8 +279,9 @@ inline void check_endpoints(net::NodeId, net::NodeId) {}
 }  // namespace
 #endif
 
-Channel::Delivery Channel::send(MessageMeter& meter, MessageClass cls,
-                                net::NodeId from, net::NodeId to) {
+Channel::Delivery Channel::send_priced(MessageMeter& meter,
+                                       MessageClass cls, net::NodeId from,
+                                       net::NodeId to) {
   if (topo_ == nullptr) {
     const Delivery out = send_iid(meter, cls);
     if (recorder_ != nullptr) record(meter, cls, from, to, out);

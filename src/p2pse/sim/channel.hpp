@@ -154,11 +154,15 @@ class Channel {
   /// send_reliable — retransmits until the message gets through
   ///   (safety-capped; the cap can only bite at loss rates ~1).
   ///
-  /// The two walk disciplines inline their commonest case — an ideal
-  /// channel with no topology and no recorder, where a hop only counts —
-  /// so a walk replaying its hops pays no call per hop.
+  /// All three disciplines inline their commonest case — an ideal channel
+  /// with no topology and no recorder, where a send only counts — so a
+  /// walk replaying its hops or a gossip round sweeping every node pays no
+  /// call per message.
   Delivery send(MessageMeter& meter, MessageClass cls, net::NodeId from,
-                net::NodeId to);
+                net::NodeId to) {
+    if (counts_only()) return count_only(meter, cls);
+    return send_priced(meter, cls, from, to);
+  }
   Delivery send_arq(MessageMeter& meter, MessageClass cls, net::NodeId from,
                     net::NodeId to) {
     if (counts_only()) return count_only(meter, cls);
@@ -180,6 +184,8 @@ class Channel {
     ++counters_.sends_iid;
     return Delivery{};
   }
+  Delivery send_priced(MessageMeter& meter, MessageClass cls,
+                       net::NodeId from, net::NodeId to);
   Delivery send_arq_priced(MessageMeter& meter, MessageClass cls,
                            net::NodeId from, net::NodeId to);
   Delivery send_reliable_priced(MessageMeter& meter, MessageClass cls,

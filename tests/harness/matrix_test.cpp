@@ -9,6 +9,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "p2pse/est/registry.hpp"
@@ -54,11 +55,15 @@ TEST(Matrix, EveryEstimatorCrossesEveryScenario) {
   }
 }
 
-std::string tracking_error_note(const FigureReport& report) {
+std::string note_starting(const FigureReport& report, std::string_view head) {
   for (const std::string& note : report.notes) {
-    if (note.starts_with("mean |estimate-truth|/truth: ")) return note;
+    if (note.starts_with(head)) return note;
   }
   return "";
+}
+
+std::string tracking_error_note(const FigureReport& report) {
+  return note_starting(report, "mean |estimate-truth|/truth: ");
 }
 
 TEST(Matrix, ZeroValidEstimatesReportTheErrorAsNotAvailable) {
@@ -76,6 +81,42 @@ TEST(Matrix, ZeroValidEstimatesReportTheErrorAsNotAvailable) {
     EXPECT_TRUE(note.starts_with("mean |estimate-truth|/truth: n/a")) << note;
     EXPECT_EQ(note.find('%'), std::string::npos) << note;
   }
+}
+
+TEST(Matrix, ZeroValidEstimatesReportMessagesAndDelayAsNotAvailable) {
+  // Off the ideal flat channel every branch also averages the measured
+  // delay over the valid estimates, and the generic branch the messages:
+  // with none, both say "n/a" instead of a plausible 0.
+  const std::vector<std::string> estimators = {
+      "sample_collide", "hops_sampling", "aggregation", "random_tour"};
+  for (const std::string& estimator : estimators) {
+    SCOPED_TRACE(estimator);
+    MatrixOptions options = small_matrix(estimator, "static");
+    options.params.estimations = 0;
+    options.params.topo = "topo:clustered,regions=4";
+    options.rounds_per_unit = 0.01;  // 10 rounds: no 50-round epoch ends
+    const FigureReport report = run_matrix(options);
+    EXPECT_TRUE(note_starting(report, "mean measured delay per estimate: ")
+                    .starts_with("mean measured delay per estimate: n/a ("));
+    if (estimator == "random_tour") {
+      EXPECT_EQ(note_starting(report, "mean messages per estimate: "),
+                "mean messages per estimate: n/a");
+    }
+  }
+}
+
+TEST(Matrix, ValidEstimatesReportMessagesAndDelayAsNumbers) {
+  MatrixOptions options = small_matrix("random_tour", "static");
+  options.params.topo = "topo:clustered,regions=4";
+  const FigureReport report = run_matrix(options);
+  const std::string messages =
+      note_starting(report, "mean messages per estimate: ");
+  const std::string delay =
+      note_starting(report, "mean measured delay per estimate: ");
+  ASSERT_FALSE(messages.empty());
+  ASSERT_FALSE(delay.empty());
+  EXPECT_EQ(messages.find("n/a"), std::string::npos) << messages;
+  EXPECT_EQ(delay.find("n/a"), std::string::npos) << delay;
 }
 
 TEST(Matrix, ValidEstimatesReportTheErrorAsAPercentage) {
