@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "p2pse/est/aggregation.hpp"
+#include "p2pse/est/aggregation_suite.hpp"
 #include "p2pse/est/hops_sampling.hpp"
 #include "p2pse/est/sample_collide.hpp"
 #include "p2pse/net/analysis.hpp"
@@ -149,6 +150,31 @@ void BM_AggregationRoundShrunk(benchmark::State& state) {
                           static_cast<std::int64_t>(sim.graph().size()));
 }
 BENCHMARK(BM_AggregationRoundShrunk)->Arg(100000);
+
+void BM_MultiAggregationRound(benchmark::State& state) {
+  // MultiAggregation on the same shrunk overlay as BM_AggregationRoundShrunk;
+  // the second argument is the number of instances riding each exchange
+  // (8 is the estimator's default).
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  support::RngStream build_rng(42);
+  sim::Simulator sim(net::build_heterogeneous_random({nodes, 1, 10}, build_rng),
+                     43);
+  support::RngStream churn_rng(45);
+  for (std::size_t k = 0; k < nodes / 4; ++k) {
+    sim.graph().remove_node(sim.graph().random_alive(churn_rng));
+  }
+  support::RngStream rng(44);
+  est::MultiAggregation agg(
+      {.rounds_per_epoch = 50,
+       .instances = static_cast<std::uint32_t>(state.range(1))});
+  agg.start_epoch(sim, rng);
+  for (auto _ : state) {
+    agg.run_round(sim, rng);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sim.graph().size()));
+}
+BENCHMARK(BM_MultiAggregationRound)->Args({100000, 8})->Args({100000, 32});
 
 void BM_HopsSamplingPoll(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

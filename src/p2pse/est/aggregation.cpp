@@ -10,12 +10,9 @@
 namespace p2pse::est {
 namespace {
 
-/// Prefetch distances of a round. The pick phase hints a node's degree and
-/// extent lines kNodeAhead nodes ahead; the exchange phase hints both
-/// endpoints' values kValueAhead exchanges ahead. Churn scrambles the
-/// alive order, so each of those lines is a likely miss.
+/// The pick phase hints a node's degree and extent lines this many nodes
+/// ahead. Churn scrambles the alive order, so each is a likely miss.
 constexpr std::size_t kNodeAhead = 16;
-constexpr std::size_t kValueAhead = 8;
 
 }  // namespace
 
@@ -77,9 +74,9 @@ void Aggregation::run_round(sim::Simulator& sim, support::RngStream& rng) {
   double round_max = 0.0;
   bool masked = false;
   for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (i + kValueAhead < alive.size()) {
-      __builtin_prefetch(&values_[alive[i + kValueAhead]], 1);
-      const net::NodeId ahead = peers_[i + kValueAhead];
+    if (i + kRoundValueAhead < alive.size()) {
+      __builtin_prefetch(&values_[alive[i + kRoundValueAhead]], 1);
+      const net::NodeId ahead = peers_[i + kRoundValueAhead];
       if (ahead != net::kInvalidNode) __builtin_prefetch(&values_[ahead], 1);
     }
     const net::NodeId peer = peers_[i];

@@ -14,6 +14,7 @@
 // departures are not tracked; departures remove their mass from the system,
 // which is what makes shrinking scenarios hard for this algorithm).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,12 @@ namespace p2pse::est {
 /// changes the graph. Shared by Aggregation and MultiAggregation.
 void draw_round_peers(const net::Graph& graph, support::RngStream& rng,
                       std::vector<net::NodeId>& peers);
+
+/// After draw_round_peers, a round's exchange loop hints both endpoints'
+/// values this many exchanges ahead (churn scrambles the alive order, so
+/// each value line is a likely miss). Shared by Aggregation and
+/// MultiAggregation.
+inline constexpr std::size_t kRoundValueAhead = 8;
 
 struct AggregationConfig {
   std::uint32_t rounds_per_epoch = 50;  ///< paper: 40 suffice at 1e5, 50 at 1e6

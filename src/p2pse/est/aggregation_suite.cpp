@@ -8,14 +8,6 @@
 #include "p2pse/est/aggregation.hpp"
 
 namespace p2pse::est {
-namespace {
-
-/// The exchange phase hints both endpoints' values in every instance this
-/// many exchanges ahead (the distance Aggregation's round uses).
-constexpr std::size_t kValueAhead = 8;
-
-}  // namespace
-
 MultiAggregation::MultiAggregation(MultiAggregationConfig config)
     : config_(config) {
   if (config_.rounds_per_epoch == 0) {
@@ -59,9 +51,9 @@ void MultiAggregation::run_round(sim::Simulator& sim,
   double round_max = 0.0;
   bool masked = false;
   for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (i + kValueAhead < alive.size()) {
-      const net::NodeId id_ahead = alive[i + kValueAhead];
-      const net::NodeId peer_ahead = peers_[i + kValueAhead];
+    if (i + kRoundValueAhead < alive.size()) {
+      const net::NodeId id_ahead = alive[i + kRoundValueAhead];
+      const net::NodeId peer_ahead = peers_[i + kRoundValueAhead];
       for (const auto& v : values_) {
         __builtin_prefetch(&v[id_ahead], 1);
         if (peer_ahead != net::kInvalidNode) {
