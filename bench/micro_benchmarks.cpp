@@ -2,10 +2,11 @@
 // operations: graph construction, walk steps, gossip rounds, churn, and
 // trace generation/replay.
 //
-// Besides the console table, every run writes a machine-readable
-// BENCH_micro.json ({"benchmark name": ns_per_op, ...}) — the artifact CI
-// uploads so the perf trajectory across PRs is diffable. Override the path
-// with --bench-json PATH; all other flags pass through to Google Benchmark.
+// Besides the console table, --bench-json PATH writes a machine-readable
+// {"benchmark name": ns_per_op, ...} capture — the format of the committed
+// BENCH_micro.json snapshot, so the perf trajectory across PRs is diffable.
+// Without the flag nothing is written. All other flags pass through to
+// Google Benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -24,9 +25,7 @@
 #include "p2pse/net/builders.hpp"
 #include "p2pse/net/churn.hpp"
 #include "p2pse/net/cyclon.hpp"
-#include "p2pse/net/parallel_build.hpp"
 #include "p2pse/sim/simulator.hpp"
-#include "p2pse/support/sharding.hpp"
 #include "p2pse/topo/topology.hpp"
 #include "p2pse/trace/cursor.hpp"
 #include "p2pse/trace/generators.hpp"
@@ -386,33 +385,6 @@ void BM_GraphNeighborScan(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphNeighborScan)->Arg(1000000);
 
-void BM_ParallelGraphBuild(benchmark::State& state) {
-  // The intra-replica sharded pipeline end to end: 1M-node sharded
-  // construction + clustered topology embedding at a given --sim-threads
-  // budget (range(1)). Bytes are identical at every budget by design; the
-  // /1-vs-/8 wall-clock ratio is the CI speedup gate.
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const topo::TopologyConfig config =
-      topo::TopologyConfig::parse("topo:clustered");
-  const support::ShardExecutor exec(workers);
-  for (auto _ : state) {
-    const support::RngStream rng(42);
-    net::Graph g =
-        net::build_heterogeneous_sharded({nodes, 1, 10}, rng, &exec);
-    topo::Topology topology(config, rng.split("topo"));
-    topology.attach(g, &exec);
-    benchmark::DoNotOptimize(g.edge_count());
-    benchmark::DoNotOptimize(topology.node(0).x);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ParallelGraphBuild)
-    ->Args({1000000, 1})
-    ->Args({1000000, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_RngBatchedUniform(benchmark::State& state) {
   // Batched uniform fill (4096 doubles per call) — same stream consumption
   // as 4096 scalar uniform_real() calls, amortizing the per-draw accounting
@@ -540,7 +512,9 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   // Extract our own --bench-json flag before Google Benchmark sees the
   // command line (it hard-errors on flags it does not know).
-  std::string json_path = "BENCH_micro.json";
+  // Only an explicit path writes JSON, so a filtered run from the repo root
+  // cannot overwrite the committed snapshot.
+  std::optional<std::string> json_path;
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -560,11 +534,12 @@ int main(int argc, char** argv) {
   JsonCapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!reporter.write_json(json_path)) {
+  if (!json_path) return 0;
+  if (!reporter.write_json(*json_path)) {
     std::fprintf(stderr, "micro_benchmarks: cannot write %s\n",
-                 json_path.c_str());
+                 json_path->c_str());
     return 1;
   }
-  std::printf("wrote %s\n", json_path.c_str());
+  std::printf("wrote %s\n", json_path->c_str());
   return 0;
 }

@@ -22,7 +22,6 @@
 #include "p2pse/net/analysis.hpp"
 #include "p2pse/net/builders.hpp"
 #include "p2pse/net/cyclon.hpp"
-#include "p2pse/net/parallel_build.hpp"
 #include "p2pse/net/random_walk.hpp"
 #include "p2pse/obs/size_model.hpp"
 #include "p2pse/obs/telemetry.hpp"
@@ -761,8 +760,7 @@ FigureReport fig_scale_free_compare(const FigureSpec&,
 FigureReport dynamic_tracking(const est::Estimator& proto,
                               std::string_view scenario,
                               const FigureParams& params,
-                              double rounds_per_unit,
-                              bool sharded_build = false) {
+                              double rounds_per_unit) {
   const std::shared_ptr<const scenario::Dynamics> workload =
       scenario::workload_by_name(scenario, params.nodes);
   const std::size_t nodes = workload->initial_size().value_or(params.nodes);
@@ -783,18 +781,7 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
   }
   const ParallelReplicaRunner pool(params.threads);
   const std::size_t sim_budget = figure_sim_budget(params, pool);
-  // The sharded builder is a different deterministic wiring (see
-  // net/parallel_build.hpp): opt-in, thread-invariant, recorded in the
-  // params line below. The factory owns its executor — GraphFactory runs
-  // inside the replica, where the runner's executor is out of reach.
-  scenario::GraphFactory factory = hetero_factory(nodes);
-  if (sharded_build) {
-    factory = [nodes, sim_budget](RngStream& rng) {
-      const support::ShardExecutor exec(sim_budget);
-      return net::build_heterogeneous_sharded({nodes, 1, 10}, rng, &exec);
-    };
-  }
-  const scenario::ScenarioRunner runner(workload, std::move(factory),
+  const scenario::ScenarioRunner runner(workload, hetero_factory(nodes),
                                         params.seed);
   const scenario::ScenarioRunner::RunOptions options{
       params.estimations, rounds_per_unit,  net,       topology,
@@ -892,7 +879,6 @@ FigureReport dynamic_tracking(const est::Estimator& proto,
   }
   report.params +=
       net_suffix(net) + topo_suffix(topology) + sizes_suffix(params);
-  if (sharded_build) report.params += " build=sharded";
   if (!net.ideal() || !topology.flat()) {
     report.notes.push_back(
         "mean measured delay per estimate: " +
@@ -2353,8 +2339,7 @@ FigureReport run_matrix(const MatrixOptions& options) {
   // out replicas, so an unknown name still fails fast.
   FigureReport report = dynamic_tracking(*proto, options.scenario,
                                          options.params,
-                                         options.rounds_per_unit,
-                                         options.sharded_build);
+                                         options.rounds_per_unit);
   const est::EstimatorSpec spec = est::EstimatorSpec::parse(options.estimator);
   report.id = "matrix_" + spec.name + "_" + options.scenario;
   report.params = "estimator=" + spec.canonical() +

@@ -95,8 +95,8 @@ class ScenarioRunner {
     /// Intra-replica worker budget (resolved; see
     /// support::sim_worker_budget). 1 = fully sequential replica. >1 shards
     /// the topology embedding across that many workers — BYTE-IDENTICAL
-    /// output at any value (shard counts are spec'd constants, per-shard
-    /// substreams merge in index order).
+    /// output at any value (the shard count is a spec'd constant, each node
+    /// embeds from its own substream, shard tallies merge in index order).
     std::size_t sim_workers = 1;
   };
 

@@ -94,7 +94,7 @@ class Simulator {
   }
 
   /// set_topology with an intra-replica worker budget: the eager embedding
-  /// of all alive nodes (the dominant cost at 1M+ nodes) runs sharded on
+  /// of all alive nodes (the only intra-replica stage that shards) runs on
   /// `executor`. Byte-identical to the sequential overload at any budget —
   /// see topo::Topology::attach. The executor is only used during this
   /// call; later churn-driven embeds stay on the sim thread.

@@ -3,10 +3,13 @@
 //
 // The contract mirrors ParallelReplicaRunner one level down: work is split
 // into a FIXED number of shards (a spec'd constant, never the worker
-// count), each shard draws from its own split("shard", i) RNG substream,
-// and results are merged in shard-index order. Output is therefore a pure
-// function of (seed, shard count) — byte-identical whether the shards run
-// on 1 worker or 16, and whatever --sim-threads says.
+// count), every RNG draw inside a shard comes from a substream fixed by the
+// work item (a shard index or an item id, never a worker), and results are
+// merged in shard-index order. Output is therefore a pure function of the
+// seed — byte-identical whether the shards run on 1 worker or 16, and
+// whatever --sim-threads says. The only sharded stage is the topology
+// embedding (topo::Topology::attach), whose per-node draws come from
+// split("node", id) substreams.
 //
 // ShardExecutor is the execution vehicle: it owns (lazily) a ThreadPool
 // and runs `fn(shard)` for every shard index. With workers <= 1 or a
